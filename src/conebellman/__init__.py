@@ -2,7 +2,7 @@
 
 Three control problems whose Bellman equations share one algebraic shape —
 a constant term plus independent blockwise minima plus a cone-monotone
-linear term — solved by one engine:
+linear term — solved by one engine iterating one vectorized step per class:
 
 - shortest-path control of positive linear systems (`ssp`),
 - discrete-time LQR via decomposed Riccati steps (`lqr`),
@@ -24,11 +24,10 @@ from .cones import (
     partial_order_leq,
 )
 from .engine import (
-    BlockProblem,
     ConvergenceTrace,
     FixedPointResult,
-    Schedule,
     SolveConfig,
+    Step,
     TraceRecord,
     fixed_point_solve,
     spectral_radius,

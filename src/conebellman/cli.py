@@ -1,7 +1,6 @@
 """Batch command-line front door: solve, verify, bench.
 
-    conebellman solve PROBLEM.json [--tol R] [--max-iter N]
-                      [--schedule jacobi|gauss-seidel] [--out DIR] [--trace]
+    conebellman solve PROBLEM.json [--tol R] [--max-iter N] [--out DIR] [--trace]
     conebellman verify PROBLEM.json [--seed N] [--trials N]
     conebellman bench --class ssp|lqr|ldp --sizes 10,50,100 [--seed N]
 
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Schedule, SolveConfig
+from .engine import SolveConfig
 from .errors import InputError, InvalidProblem, NotPositiveDefinite, SolveFailure
 from .generators import random_ldp, random_lqr, random_ssp_graph
 from .io import ParsedProblem, load_problem, write_solution, write_trace_csv
@@ -78,9 +77,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("problem", help="problem JSON file")
     solve.add_argument("--tol", type=float, default=1e-10)
     solve.add_argument("--max-iter", type=int, default=100_000)
-    solve.add_argument(
-        "--schedule", choices=["jacobi", "gauss-seidel"], default="jacobi"
-    )
     solve.add_argument("--out", default=".", help="output directory (default: .)")
     solve.add_argument("--trace", action="store_true", help="also write trace.csv")
 
@@ -159,17 +155,11 @@ def _dispatch_solve(parsed: ParsedProblem, cfg: SolveConfig):
 
 def _cmd_solve(args) -> int:
     parsed = load_problem(args.problem)
-    cfg = SolveConfig(
-        tol=args.tol, max_iter=args.max_iter, schedule=Schedule(args.schedule)
-    )
+    cfg = SolveConfig(tol=args.tol, max_iter=args.max_iter)
     manifest = RunManifest(
         input_path=args.problem,
         problem_type=parsed.kind,
-        config={
-            "tol": cfg.tol,
-            "max_iter": cfg.max_iter,
-            "schedule": cfg.schedule.value,
-        },
+        config={"tol": cfg.tol, "max_iter": cfg.max_iter},
     )
     out_dict, trace = _dispatch_solve(parsed, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -215,10 +205,13 @@ def _cmd_verify(args) -> int:
             checks.append(("lambda vs dijkstra distances", _sup_gap(sol.lam, along_states), 1e-12))
     elif parsed.kind == "lqr":
         sol = solve_lqr(parsed.problem, cfg)
-        oracle = naive_dare(parsed.problem, tol=1e-13)
+        # naive_dare stops on an absolute step between sweeps, which 1e-13
+        # cannot reach once the value matrix grows with the problem
+        p = parsed.problem
+        scale = max(1.0, float(np.max(np.abs(p.Q))) if p.Q.size else 0.0)
+        oracle = naive_dare(p, tol=1e-13 * scale)
         checks.append(("lambda vs explicit-inverse Riccati oracle", _sup_gap(sol.lam, oracle), 1e-9))
         checks.append(("Riccati equation residual", sol.dare_residual, 1e-9))
-        p = parsed.problem
         first_order = (p.R + p.B.T @ sol.lam @ p.B) @ sol.K + p.B.T @ sol.lam @ p.A
         defect = float(np.max(np.abs(first_order))) if first_order.size else 0.0
         checks.append(("gain first-order condition", defect, 1e-10))

@@ -1,32 +1,30 @@
-"""Block-decomposed fixed-point engine and stability diagnostics.
+"""Fixed-point engine and stability diagnostics.
 
-The engine iterates value candidates of the form
+The engine iterates one operator on plain arrays,
 
-    lam <- assemble(block_update(i, lam) for every block i)
+    lam_next, minimizer = step(lam)
 
 until the sup-norm of successive iterates falls below a tolerance, then runs
 one extra verification sweep so that the stationarity residual of the returned
-candidate is certified as well.  Concrete problems (shortest path, Riccati,
-desirability) plug in by subclassing :class:`BlockProblem`; each block update
-returns both an additive contribution to the next iterate and the block's
-minimizing parameter, so the converged minimizers come out of the same sweep
-that certified the solution.
+candidate is certified as well.  Each problem class (shortest path, Riccati,
+desirability) supplies a single vectorized ``step`` that evaluates all of its
+independent block minima at once; the minimizer it returns alongside the next
+iterate is whatever that class needs to recover its policy, and the one
+returned by the engine comes from the same sweep that certified the solution.
+Only the initial and the returned value are wrapped in :class:`ValueObject`.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from enum import Enum
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .cones import ConeTag, ValueObject, in_cone
+from .cones import ValueObject, in_cone
 from .errors import (
-    ConeMismatch,
     Diverged,
     InvalidProblem,
     MaxIterExceeded,
@@ -39,10 +37,8 @@ logger = logging.getLogger("conebellman.engine")
 #: consecutive residual-growth iterations tolerated before declaring divergence
 GROWTH_LIMIT = 50
 
-
-class Schedule(Enum):
-    JACOBI = "jacobi"
-    GAUSS_SEIDEL = "gauss-seidel"
+#: one synchronous sweep: lam -> (next iterate, minimizer evaluated at lam)
+Step = Callable[[np.ndarray], tuple[np.ndarray, Any]]
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,6 @@ class SolveConfig:
 
     tol: float = 1e-10
     max_iter: int = 100_000
-    schedule: Schedule = Schedule.JACOBI
     divergence_cap: float = 1e12
 
     def __post_init__(self):
@@ -103,39 +98,10 @@ class ConvergenceTrace:
         return self.records[-1].residual if self.records else float("nan")
 
 
-class BlockProblem(ABC):
-    """A fixed-point problem split into additive blocks.
-
-    Subclasses set ``cone`` (the cone of the iterate) and ``n_blocks``, and
-    implement :meth:`block_update`.  The assembled candidate is the sum of all
-    block contributions plus an optional constant term; blocks with no
-    minimizing parameter may return ``None`` as their minimizer.
-    """
-
-    cone: ConeTag
-    n_blocks: int
-
-    @abstractmethod
-    def block_update(self, i: int, lam: ValueObject) -> tuple[np.ndarray, Any]:
-        """Return (additive contribution to the next iterate, block minimizer)."""
-
-    def constant_term(self) -> np.ndarray | None:
-        return None
-
-    def assemble(self, contribs: list[np.ndarray]) -> ValueObject:
-        total = np.zeros(self.cone.shape)
-        const = self.constant_term()
-        if const is not None:
-            total = total + const
-        for c in contribs:
-            total = total + c
-        return ValueObject(self.cone, total)
-
-
 @dataclass
 class FixedPointResult:
     value: ValueObject
-    minimizers: list
+    minimizer: Any  # what the certifying sweep's step returned beside its iterate
     trace: ConvergenceTrace
     residual: float  # stationarity residual certified at the returned value
 
@@ -144,70 +110,34 @@ class FixedPointResult:
         return len(self.trace)
 
 
-def _sup_diff(a: ValueObject, b: ValueObject) -> float:
-    d = a.data - b.data
-    return float(np.max(np.abs(d))) if d.size else 0.0
+def _sup_norm(a: np.ndarray) -> float:
+    # the ndarray method skips np.max's Python-level dispatch, which costs as
+    # much as the reduction itself on the small iterates of LQR
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
-def _jacobi_sweep(problem: BlockProblem, lam: ValueObject):
-    contribs = []
-    minimizers = []
-    for i in range(problem.n_blocks):
-        c, m = problem.block_update(i, lam)
-        contribs.append(c)
-        minimizers.append(m)
-    return problem.assemble(contribs), contribs, minimizers
+def fixed_point_solve(step: Step, lam0: ValueObject, cfg: SolveConfig) -> FixedPointResult:
+    """Iterate ``step`` from ``lam0`` to a certified fixed point.
 
-
-def _gauss_seidel_sweep(problem: BlockProblem, lam: ValueObject, contribs, minimizers):
-    contribs = list(contribs)
-    minimizers = list(minimizers)
-    cur = lam
-    for i in range(problem.n_blocks):
-        c, m = problem.block_update(i, cur)
-        contribs[i] = c
-        minimizers[i] = m
-        cur = problem.assemble(contribs)
-    return cur, contribs, minimizers
-
-
-def fixed_point_solve(
-    problem: BlockProblem, lam0: ValueObject, cfg: SolveConfig
-) -> FixedPointResult:
-    """Iterate the assembled block map to a certified fixed point.
-
-    Under the Jacobi schedule every block sees the previous iterate; under
-    Gauss-Seidel each block sees the freshest assembled candidate (the first
-    sweep evaluates all blocks at ``lam0`` to populate the contribution
-    table).  Once the successive residual drops below ``cfg.tol`` one extra
-    Jacobi-style sweep runs at the candidate: its residual is the stationarity
-    residual, the candidate is returned only if that is below ``10 * cfg.tol``,
-    and the minimizers returned are the ones evaluated at the returned value.
+    Every sweep evaluates all blocks at the previous iterate.  Once the
+    successive residual drops below ``cfg.tol`` one extra sweep runs at the
+    candidate: its residual is the stationarity residual, the candidate is
+    returned only if that is below ``10 * cfg.tol``, and the minimizer
+    returned is the one evaluated at the returned value.
     """
-    if lam0.cone != problem.cone:
-        raise ConeMismatch(
-            f"initial value cone {lam0.cone} != problem cone {problem.cone}"
-        )
     if not in_cone(lam0):
         raise NotInCone("initial value must lie in the cone")
 
     trace = ConvergenceTrace()
     t0 = time.perf_counter_ns()
-    lam = lam0
-    contribs = None
-    minimizers = None
+    lam = lam0.data
     prev_residual = None
     growth_streak = 0
     verify = False
 
     for k in range(cfg.max_iter):
-        if verify or cfg.schedule is Schedule.JACOBI or contribs is None:
-            lam_new, contribs, minimizers = _jacobi_sweep(problem, lam)
-        else:
-            lam_new, contribs, minimizers = _gauss_seidel_sweep(
-                problem, lam, contribs, minimizers
-            )
-        residual = _sup_diff(lam_new, lam)
+        lam_new, minimizer = step(lam)
+        residual = _sup_norm(lam_new - lam)
         trace.append(k, residual, time.perf_counter_ns() - t0)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("iteration %d residual %.6e", k, residual)
@@ -218,11 +148,12 @@ def fixed_point_solve(
             logger.info(
                 "converged after %d iterations (stationarity %.3e)", k + 1, residual
             )
-            return FixedPointResult(lam, minimizers, trace, residual)
+            return FixedPointResult(ValueObject(lam0.cone, lam), minimizer, trace, residual)
 
-        if lam_new.sup_norm() > cfg.divergence_cap:
+        magnitude = _sup_norm(lam_new)
+        if magnitude > cfg.divergence_cap:
             raise Diverged(
-                f"iterate magnitude {lam_new.sup_norm():.3e} exceeded cap "
+                f"iterate magnitude {magnitude:.3e} exceeded cap "
                 f"{cfg.divergence_cap:.3e} at iteration {k}"
             )
         if prev_residual is not None and residual > prev_residual:
@@ -245,14 +176,11 @@ def fixed_point_solve(
     )
 
 
-def stationarity_residual(problem: BlockProblem, lam: ValueObject) -> float:
-    """Sup-norm of lam minus the assembled block minima evaluated at lam."""
-    if lam.cone != problem.cone:
-        raise ConeMismatch("value cone does not match problem cone")
+def stationarity_residual(step: Step, lam: ValueObject) -> float:
+    """Sup-norm of lam minus one sweep of ``step`` evaluated at lam."""
     if not in_cone(lam):
         raise NotInCone("stationarity check expects a cone member")
-    assembled, _, _ = _jacobi_sweep(problem, lam)
-    return _sup_diff(assembled, lam)
+    return _sup_norm(step(lam.data)[0] - lam.data)
 
 
 #: max recurrence order tried when extrapolating the power sequence

@@ -12,9 +12,10 @@ minimized equation collapses to the affine system
 
     z = G (P̄_r^T z + p̄_g),        G = diag(exp(-s_r)),
 
-solved directly by Gaussian elimination (with a monotone fixed-point
-fallback), after which the optimal controlled transitions have the closed
-form  p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i).
+solved directly by Gaussian elimination.  The fallback iterates the same
+map, z' = G (P̄_r^T z + p̄_g), as one vectorized step of the fixed-point
+engine from z0 = 0 (monotone increasing).  The optimal controlled
+transitions then have the closed form  p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .cones import ConeTag, ValueObject
 from .engine import (
-    BlockProblem,
     ConvergenceTrace,
     SolveConfig,
     fixed_point_solve,
@@ -191,28 +191,15 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     return ReducedLdp(Pbar_r=Pbar_r, pbar_g=pbar_g, s_r=p.s[idx])
 
 
-class _DesirabilityBlocks(BlockProblem):
-    """Fallback fixed-point form z <- G(P̄_r^T z + p̄_g), one block per state.
+def _desirability_step(r: ReducedLdp):
+    """The fallback map z -> G(P̄_r^T z + p̄_g) as one step; it has no minimizer.
 
-    Each block's minimizer is the optimal transition column implied by the
-    current iterate; the update map is affine and monotone, so iterates from
-    z0 = 0 increase toward the solution.
+    The map is affine and monotone, so iterates from z0 = 0 increase toward
+    the solution.
     """
-
-    def __init__(self, r: ReducedLdp):
-        self.r = r
-        self.g = np.exp(-r.s_r)
-        self.cone = ConeTag.orthant(r.n_r)
-        self.n_blocks = r.n_r
-
-    def block_update(self, i: int, z: ValueObject):
-        v = z.data
-        col = self.r.Pbar_r[:, i]
-        push = col @ v + self.r.pbar_g[i]
-        contribution = np.zeros(self.r.n_r)
-        contribution[i] = self.g[i] * push
-        minimizer = (col * v) / push if push > 0.0 else np.array(col)
-        return contribution, minimizer
+    g = np.exp(-r.s_r)
+    Pt = r.Pbar_r.T
+    return lambda z: (g * (Pt @ z + r.pbar_g), None)
 
 
 def solve_desirability(
@@ -256,11 +243,11 @@ def solve_desirability(
         inner = SolveConfig(
             tol=cfg.tol / 10.0,
             max_iter=cfg.max_iter,
-            schedule=cfg.schedule,
             divergence_cap=cfg.divergence_cap,
         )
-        blocks = _DesirabilityBlocks(r)
-        result = fixed_point_solve(blocks, ValueObject.zeros(blocks.cone), inner)
+        result = fixed_point_solve(
+            _desirability_step(r), ValueObject.zeros(ConeTag.orthant(r.n_r)), inner
+        )
         z = np.array(result.value.data)
         trace = result.trace
 

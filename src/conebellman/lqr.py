@@ -24,7 +24,6 @@ import numpy as np
 
 from .cones import SYMMETRY_TOL, ConeTag, ValueObject
 from .engine import (
-    BlockProblem,
     ConvergenceTrace,
     SolveConfig,
     fixed_point_solve,
@@ -203,22 +202,6 @@ def dare_residual(p: LqrProblem, lam: np.ndarray) -> float:
     return float(np.max(np.abs(lam_next - np.asarray(lam, dtype=float))))
 
 
-class _RiccatiBlock(BlockProblem):
-    """The Riccati map as a single PSD-cone block (the m rank-1 minimizations
-    stay fused inside one factorization; splitting them would refactor
-    R + B^T lam B once per row for no benefit)."""
-
-    def __init__(self, p: LqrProblem):
-        self.p = p
-        self.cone = ConeTag.psd(p.n)
-        self.n_blocks = 1
-
-    def block_update(self, i: int, lam: ValueObject):
-        # the engine hands back our own symmetrized emission; skip re-validation
-        lam_next, K = _riccati_core(self.p, lam.data)
-        return lam_next, K
-
-
 def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
     """Iterate the Riccati map from lam0 = Q to its fixed point.
 
@@ -230,10 +213,13 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
     bound) rather than failing intake.
     """
     cfg = cfg or SolveConfig()
-    blocks = _RiccatiBlock(p)
-    result = fixed_point_solve(blocks, ValueObject(blocks.cone, p.Q), cfg)
+    # the m rank-1 minimizations stay fused in one factorization per sweep;
+    # iterates are the step's own symmetrized emissions, so none is re-validated
+    result = fixed_point_solve(
+        lambda lam: _riccati_core(p, lam), ValueObject(ConeTag.psd(p.n), p.Q), cfg
+    )
     lam = np.array(result.value.data)
-    K = np.asarray(result.minimizers[0], dtype=float)
+    K = result.minimizer
     min_eig = float(np.linalg.eigvalsh(lam)[0]) if p.n else 0.0
     if p.n and min_eig <= 0.0:
         raise CertificationError(

@@ -10,7 +10,12 @@ operator for the linear value ansatz ``J(x) = lam^T x`` is
 and each block minimum is attained at a vertex in closed form: column j of
 the minimizing ``K_i`` puts the whole budget ``E_ij`` on the lowest-index
 entry of the reduced cost achieving its minimum when that minimum is
-negative, and is zero otherwise.
+negative, and is zero otherwise.  The blocks are independent, so one sweep
+is a single segmented minimum over the stacked reduced costs,
+
+    c = r + B^T lam,   g_i = min(0, min_{j in block i} c_j),   lam' = s + A^T lam + E^T g,
+
+with no per-block Python call; the gain is built once, at the returned value.
 
 A graph shorthand for ordinary (stochastic) shortest-path instances compiles
 into this matrix form with per-state unit budgets (``E = I``): every node's
@@ -27,9 +32,7 @@ import numpy as np
 
 from .cones import ConeTag, ValueObject
 from .engine import (
-    BlockProblem,
     ConvergenceTrace,
-    FixedPointResult,
     SolveConfig,
     fixed_point_solve,
     spectral_radius,
@@ -111,6 +114,14 @@ class SspProblem:
         offsets = np.zeros(n + 1, dtype=int)
         np.cumsum(blocks, out=offsets[1:])
         object.__setattr__(self, "_offsets", _frozen(offsets, dtype=int))
+        # gain rows as segments, one per non-empty block: its state, first
+        # row and size.  Empty blocks are left out because their repeated
+        # offsets would make np.minimum.reduceat return a neighbour's entry.
+        sizes = np.asarray(blocks, dtype=int)
+        nonempty = np.flatnonzero(sizes > 0)
+        object.__setattr__(self, "_nonempty", _frozen(nonempty, dtype=int))
+        object.__setattr__(self, "_starts", _frozen(offsets[nonempty], dtype=int))
+        object.__setattr__(self, "_sizes", _frozen(sizes[nonempty], dtype=int))
 
     @property
     def n(self) -> int:
@@ -123,13 +134,6 @@ class SspProblem:
     def block_slice(self, i: int) -> slice:
         return slice(int(self._offsets[i]), int(self._offsets[i + 1]))
 
-    def blocking_matrix(self) -> np.ndarray:
-        """The block-diagonal all-ones row matrix C with C K = per-state budget use."""
-        C = np.zeros((self.n, self.m))
-        for i in range(self.n):
-            C[i, self.block_slice(i)] = 1.0
-        return C
-
 
 @dataclass
 class SspSolution:
@@ -141,84 +145,69 @@ class SspSolution:
 
 
 def validate_gain(p: SspProblem, K: np.ndarray) -> bool:
-    """True iff K >= 0 and E - CK >= 0 elementwise (the constraint polytope)."""
+    """True iff K >= 0 and E - CK >= 0 elementwise (the constraint polytope).
+
+    Row i of CK is the budget block i spends: the sum of its gain rows.
+    Empty blocks spend nothing and E >= 0 holds from intake.
+    """
     K = np.asarray(K, dtype=float)
     if K.shape != (p.m, p.n):
         raise ShapeMismatch(f"gain must be {p.m} x {p.n}, got {K.shape}")
     if np.any(K < 0):
         return False
-    budget_use = np.zeros((p.n, p.n))
-    for i in range(p.n):
-        sl = p.block_slice(i)
-        if sl.stop > sl.start:
-            budget_use[i] = K[sl].sum(axis=0)
-    return bool(np.all(p.E - budget_use >= 0))
+    # segment sums: one vectorized step adds the k-th row of every block
+    # that has one, so there are as many steps as the largest block has rows
+    # and rows add in block order.  np.add.reduceat(K, starts, axis=0) gives
+    # the same sums, but it runs its inner loop once per block and column and
+    # measured about 3x slower on 300-state random graphs.
+    budget_use = K[p._starts]
+    for k in range(1, int(p._sizes.max(initial=0))):
+        longer = p._sizes > k
+        budget_use[longer] += K[p._starts[longer] + k]
+    return bool(np.all(p.E[p._nonempty] - budget_use >= 0))
 
 
-def _block_min(p: SspProblem, i: int, lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """Closed-form vertex minimum of K_i^T (r_i + B_i^T lam) over block i's polytope.
+def _sweep(p: SspProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Bellman sweep: (s + A^T lam + E^T g, reduced costs c at lam)."""
+    if lam.size and float(lam.min()) < -_LAMBDA_TOL:
+        raise NegativeLambda("value iterate has negative entries")
+    c = p.r + p.B.T @ lam
+    g = np.zeros(p.n)
+    if c.size:
+        g[p._nonempty] = np.minimum(np.minimum.reduceat(c, p._starts), 0.0)
+    return p.s + p.A.T @ lam + p.E.T @ g, c
 
-    Returns (g_i, K_i) where the block's contribution to the value update is
-    g_i * E_i (the i-th budget row), g_i = min(0, min of the reduced cost).
+
+def _gain(p: SspProblem, c: np.ndarray) -> np.ndarray:
+    """Stacked vertex minimizers for the reduced costs c.
+
+    Block i's row at the lowest index attaining its minimum carries the
+    budget row E_i when that minimum is negative; every other row is zero.
     """
-    sl = p.block_slice(i)
-    mi = sl.stop - sl.start
-    if mi == 0:
-        return 0.0, np.zeros((0, p.n))
-    c = p.r[sl] + p.B[:, sl].T @ lam
-    jmin = int(np.argmin(c))  # lowest index among ties
-    cmin = float(c[jmin])
-    K_i = np.zeros((mi, p.n))
-    if cmin < 0.0:
-        K_i[jmin, :] = p.E[i]
-        return cmin, K_i
-    return 0.0, K_i
-
-
-class _SspBlocks(BlockProblem):
-    """One block per state: its own cost/autonomous share plus its input minimum."""
-
-    def __init__(self, p: SspProblem):
-        self.p = p
-        self.cone = ConeTag.orthant(p.n)
-        self.n_blocks = p.n
-
-    def block_update(self, i: int, lam: ValueObject):
-        v = lam.data
-        if v.size and float(v.min()) < -_LAMBDA_TOL:
-            raise NegativeLambda("value iterate has negative entries")
-        p = self.p
-        contribution = np.zeros(p.n)
-        contribution[i] = p.s[i] + p.A[:, i] @ v
-        g, K_i = _block_min(p, i, v)
-        if g < 0.0:
-            contribution = contribution + g * p.E[i]
-        return contribution, K_i
+    K = np.zeros((p.m, p.n))
+    if not c.size:
+        return K
+    cmin = np.minimum.reduceat(c, p._starts)
+    attains = c == np.repeat(cmin, p._sizes)
+    jmin = np.minimum.reduceat(np.where(attains, np.arange(p.m), p.m), p._starts)
+    negative = cmin < 0.0
+    K[jmin[negative]] = p.E[p._nonempty[negative]]
+    return K
 
 
 def bellman_update(p: SspProblem, lam) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous sweep of the decomposed Bellman operator.
 
     Returns (lam', K) where lam' = s + A^T lam + sum_i K_i^T c_i and K stacks
-    the per-block vertex minimizers.  Arithmetic is identical (bitwise) to one
-    Jacobi sweep of solve_ssp, because both assemble the same per-block
-    contributions in index order.
+    the per-block vertex minimizers.  lam' is bitwise equal to the iterate
+    solve_ssp computes from lam, because both run the same sweep, and at
+    the value solve_ssp returns K equals its gain bit for bit.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (p.n,):
         raise ShapeMismatch(f"lam must have length {p.n}, got {lam.shape}")
-    if lam.size and float(lam.min()) < -_LAMBDA_TOL:
-        raise NegativeLambda("bellman_update expects lam >= 0")
-    blocks = _SspBlocks(p)
-    contribs = []
-    gains = []
-    for i in range(p.n):
-        c, K_i = blocks.block_update(i, ValueObject(blocks.cone, lam))
-        contribs.append(c)
-        gains.append(K_i)
-    lam_next = blocks.assemble(contribs).data
-    K = np.vstack(gains) if gains else np.zeros((0, p.n))
-    return np.array(lam_next), K
+    lam_next, c = _sweep(p, lam)
+    return lam_next, _gain(p, c)
 
 
 def _certify(p: SspProblem, lam: np.ndarray, K: np.ndarray) -> float:
@@ -241,29 +230,19 @@ def _certify(p: SspProblem, lam: np.ndarray, K: np.ndarray) -> float:
 def solve_ssp(p: SspProblem, cfg: SolveConfig | None = None) -> SspSolution:
     """Solve the shortest-path Bellman fixed point from lam0 = 0.
 
-    Wraps the per-state block updates in the generic fixed-point engine and
-    certifies the result: the stacked gain is feasible, the value vector is
+    Iterates the vectorized sweep in the generic fixed-point engine and
+    certifies the result: the gain is feasible, the value vector is
     strictly positive, and the closed loop A + BK is nonnegative with
     spectral radius below one.  Iterates from zero are monotone
     nondecreasing for valid budget matrices (each candidate update map is
     affine with nonnegative coefficient matrix).
-
-    Note: the Gauss-Seidel schedule re-assembles partially updated values
-    mid-sweep; for budget matrices coupling several states (non-diagonal E)
-    those intermediate values can transiently leave the orthant, which
-    raises NegativeLambda.  Jacobi is safe for every valid problem.
     """
     cfg = cfg or SolveConfig()
-    blocks = _SspBlocks(p)
-    result: FixedPointResult = fixed_point_solve(
-        blocks, ValueObject.zeros(blocks.cone), cfg
+    result = fixed_point_solve(
+        lambda lam: _sweep(p, lam), ValueObject.zeros(ConeTag.orthant(p.n)), cfg
     )
     lam = np.array(result.value.data)
-    K = (
-        np.vstack(result.minimizers)
-        if result.minimizers
-        else np.zeros((0, p.n))
-    )
+    K = _gain(p, result.minimizer)
     rho = _certify(p, lam, K)
     return SspSolution(
         lam=lam,

@@ -1,4 +1,4 @@
-"""Block fixed-point engine: schedules, traces, divergence, spectral radius."""
+"""Fixed-point engine: step iteration, traces, divergence, spectral radius."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conebellman import (
-    BlockProblem,
     ConeTag,
     Diverged,
     InvalidProblem,
     MaxIterExceeded,
     NonSquare,
     NotInCone,
-    Schedule,
     SolveConfig,
     ValueObject,
     fixed_point_solve,
@@ -22,35 +20,16 @@ from conebellman import (
 )
 
 
-class ScalarAffine(BlockProblem):
-    """One orthant block iterating lam <- offset + gain * lam."""
-
-    def __init__(self, gain, offset):
-        self.cone = ConeTag.orthant(1)
-        self.n_blocks = 1
-        self.gain = gain
-        self.offset = offset
-
-    def block_update(self, i, lam):
-        return self.offset + self.gain * lam.data, None
+def scalar_affine(gain, offset):
+    """One orthant coordinate iterating lam <- offset + gain * lam."""
+    return lambda lam: (offset + gain * lam, None)
 
 
-class VectorAffine(BlockProblem):
-    """lam <- c + M lam split into one block per coordinate."""
-
-    def __init__(self, M, c):
-        self.M = np.asarray(M, dtype=float)
-        self.c = np.asarray(c, dtype=float)
-        self.cone = ConeTag.orthant(self.c.size)
-        self.n_blocks = self.c.size
-
-    def block_update(self, i, lam):
-        out = np.zeros(self.c.size)
-        out[i] = self.c[i] + self.M[i] @ lam.data
-        return out, i
-
-    def constant_term(self):
-        return None
+def vector_affine(M, c):
+    """lam <- c + M lam; the minimizer is the iterate the step was evaluated at."""
+    M = np.asarray(M, dtype=float)
+    c = np.asarray(c, dtype=float)
+    return lambda lam: (c + M @ lam, np.array(lam))
 
 
 def zeros1():
@@ -71,7 +50,7 @@ def test_solve_config_validation():
 
 
 def test_trace_indices_strictly_increase_and_residuals_nonnegative():
-    res = fixed_point_solve(ScalarAffine(0.5, 1.0), zeros1(), SolveConfig(tol=1e-12))
+    res = fixed_point_solve(scalar_affine(0.5, 1.0), zeros1(), SolveConfig(tol=1e-12))
     its = [rec.iteration for rec in res.trace]
     assert its == sorted(set(its))
     assert its[0] == 0
@@ -82,7 +61,7 @@ def test_trace_indices_strictly_increase_and_residuals_nonnegative():
 def test_initial_value_must_be_in_cone():
     bad = ValueObject(ConeTag.orthant(1), np.array([-1.0]))
     with pytest.raises(NotInCone):
-        fixed_point_solve(ScalarAffine(0.5, 1.0), bad, SolveConfig())
+        fixed_point_solve(scalar_affine(0.5, 1.0), bad, SolveConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +70,7 @@ def test_initial_value_must_be_in_cone():
 
 def test_scalar_contraction_reaches_geometric_limit():
     cfg = SolveConfig(tol=1e-12)
-    res = fixed_point_solve(ScalarAffine(0.5, 1.0), zeros1(), cfg)
+    res = fixed_point_solve(scalar_affine(0.5, 1.0), zeros1(), cfg)
     assert res.value.data[0] == pytest.approx(2.0, abs=1e-11)
     assert res.residual < 10.0 * cfg.tol
 
@@ -99,50 +78,39 @@ def test_scalar_contraction_reaches_geometric_limit():
 def test_expansive_map_diverges():
     with pytest.raises(Diverged):
         fixed_point_solve(
-            ScalarAffine(1.5, 1.0), zeros1(), SolveConfig(divergence_cap=1e6)
+            scalar_affine(1.5, 1.0), zeros1(), SolveConfig(divergence_cap=1e6)
         )
 
 
 def test_max_iter_exceeded_reports_residual():
     with pytest.raises(MaxIterExceeded):
-        fixed_point_solve(ScalarAffine(0.99, 1.0), zeros1(), SolveConfig(max_iter=5))
-
-
-def test_gauss_seidel_agrees_with_jacobi_on_linear_contraction():
-    M = np.array([[0.3, 0.2, 0.0], [0.1, 0.1, 0.3], [0.0, 0.2, 0.4]])
-    c = np.array([1.0, 0.5, 0.25])
-    lam0 = ValueObject.zeros(ConeTag.orthant(3))
-    jac = fixed_point_solve(
-        VectorAffine(M, c), lam0, SolveConfig(tol=1e-13, schedule=Schedule.JACOBI)
-    )
-    gs = fixed_point_solve(
-        VectorAffine(M, c),
-        lam0,
-        SolveConfig(tol=1e-13, schedule=Schedule.GAUSS_SEIDEL),
-    )
-    exact = np.linalg.solve(np.eye(3) - M, c)
-    np.testing.assert_allclose(jac.value.data, exact, atol=1e-11)
-    np.testing.assert_allclose(gs.value.data, exact, atol=1e-11)
-    # a Gauss-Seidel sweep propagates fresh values within the sweep, so it
-    # should need no more sweeps than Jacobi on a monotone contraction
-    assert gs.iterations <= jac.iterations
+        fixed_point_solve(scalar_affine(0.99, 1.0), zeros1(), SolveConfig(max_iter=5))
 
 
 def test_jacobi_runs_are_bitwise_identical():
     M = np.array([[0.37, 0.11], [0.05, 0.42]])
     c = np.array([0.3, 0.7])
     lam0 = ValueObject.zeros(ConeTag.orthant(2))
-    a = fixed_point_solve(VectorAffine(M, c), lam0, SolveConfig(tol=1e-12))
-    b = fixed_point_solve(VectorAffine(M, c), lam0, SolveConfig(tol=1e-12))
+    a = fixed_point_solve(vector_affine(M, c), lam0, SolveConfig(tol=1e-12))
+    b = fixed_point_solve(vector_affine(M, c), lam0, SolveConfig(tol=1e-12))
     assert [r.residual for r in a.trace] == [r.residual for r in b.trace]
     assert np.array_equal(a.value.data, b.value.data)
 
 
 def test_minimizers_come_from_the_returned_value():
     res = fixed_point_solve(
-        VectorAffine(np.array([[0.5]]), np.array([1.0])), zeros1(), SolveConfig()
+        vector_affine(np.array([[0.5]]), np.array([1.0])), zeros1(), SolveConfig()
     )
-    assert res.minimizers == [0]
+    assert np.array_equal(res.minimizer, res.value.data)
+
+
+def test_vector_contraction_reaches_linear_solve():
+    M = np.array([[0.3, 0.2, 0.0], [0.1, 0.1, 0.3], [0.0, 0.2, 0.4]])
+    c = np.array([1.0, 0.5, 0.25])
+    res = fixed_point_solve(
+        vector_affine(M, c), ValueObject.zeros(ConeTag.orthant(3)), SolveConfig(tol=1e-13)
+    )
+    np.testing.assert_allclose(res.value.data, np.linalg.solve(np.eye(3) - M, c), atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +118,19 @@ def test_minimizers_come_from_the_returned_value():
 
 
 def test_stationarity_zero_at_exact_fixed_point():
-    p = ScalarAffine(0.5, 1.0)
+    p = scalar_affine(0.5, 1.0)
     exact = ValueObject(ConeTag.orthant(1), np.array([2.0]))
     assert stationarity_residual(p, exact) == 0.0
 
 
 def test_stationarity_at_origin_equals_offset():
-    assert stationarity_residual(ScalarAffine(0.5, 1.0), zeros1()) == 1.0
+    assert stationarity_residual(scalar_affine(0.5, 1.0), zeros1()) == 1.0
 
 
 def test_stationarity_small_after_convergence():
     cfg = SolveConfig(tol=1e-12)
-    res = fixed_point_solve(ScalarAffine(0.5, 1.0), zeros1(), cfg)
-    assert stationarity_residual(ScalarAffine(0.5, 1.0), res.value) < 1e-10
+    res = fixed_point_solve(scalar_affine(0.5, 1.0), zeros1(), cfg)
+    assert stationarity_residual(scalar_affine(0.5, 1.0), res.value) < 1e-10
 
 
 # ---------------------------------------------------------------------------

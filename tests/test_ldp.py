@@ -132,14 +132,13 @@ def test_closed_subchain_has_no_solution():
 def test_block_iteration_agrees_with_direct_solve():
     # the affine map iterated from zero is the fallback route; it must land
     # on the same desirability vector as the linear solve
-    from conebellman.ldp import _DesirabilityBlocks
+    from conebellman.ldp import _desirability_step
 
     p = random_ldp(9, seed=31)
     r = reduce(p)
     z_direct, _, _ = solve_desirability(r)
-    blocks = _DesirabilityBlocks(r)
     res = fixed_point_solve(
-        blocks,
+        _desirability_step(r),
         ValueObject.zeros(ConeTag.orthant(r.n_r)),
         SolveConfig(tol=1e-14),
     )

@@ -11,7 +11,6 @@ from conebellman import (
     InvalidProblem,
     MaxIterExceeded,
     NegativeLambda,
-    Schedule,
     ShapeMismatch,
     SolveConfig,
     SspProblem,
@@ -115,6 +114,88 @@ def test_update_lowest_index_tie_break():
     assert np.array_equal(K, [[1.0], [0.0]])
 
 
+def ragged_blocks_problem():
+    """Five states with empty blocks first, in the middle and last.
+
+    Block 1 has three inputs (0 and 1 identical, so they tie) and a budget
+    row spending half of state 2's mass as well (E is not diagonal); block 3
+    has a single input.  Every B column has one nonzero entry, so reduced
+    costs are exact and the tie holds bit for bit.  By hand: lam_4 = 2,
+    lam_0 = 1 + lam_0/2 + lam_4/4 = 3; lam_3 = 2 + lam_3/2 + (1/2 - lam_3/4)
+    = 10/3; lam_1 = 2 + lam_1/2 + (1/4 - lam_1/4) = 3, where input 0 costs
+    -1/2 against input 2's -3/8; lam_2 = 1 + lam_1/4 + lam_2/2 - 1/4 = 3.
+    """
+    return SspProblem(
+        A=[
+            [0.5, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.25, 0.0, 0.0],
+            [0.0, 0.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.5, 0.0],
+            [0.25, 0.0, 0.0, 0.0, 0.5],
+        ],
+        B=[
+            [0.0, 0.0, 0.0, 0.0],
+            [-0.25, -0.25, -0.125, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, -0.25],
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+        s=[1.0, 2.0, 1.0, 2.0, 1.0],
+        r=[0.25, 0.25, 0.0, 0.5],
+        block_sizes=(0, 3, 0, 1, 0),
+        E=[
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ],
+    )
+
+
+def test_ragged_blocks_with_coupled_budget():
+    p = ragged_blocks_problem()
+    sol = solve_ssp(p, SolveConfig(tol=1e-13))
+    np.testing.assert_allclose(sol.lam, [3.0, 3.0, 3.0, 10.0 / 3.0, 2.0], atol=1e-12)
+    vi = ssp_value_iteration(p, iters=50_000, tol=1e-14)
+    np.testing.assert_allclose(sol.lam, vi, atol=1e-12)
+    expected_K = np.array(
+        [
+            [0.0, 1.0, 0.5, 0.0, 0.0],  # input 0: lowest index of the tie
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0],  # the size-1 block
+        ]
+    )
+    assert np.array_equal(sol.K, expected_K)
+    assert validate_gain(p, sol.K)
+    # block 1 may split its budget row over its three inputs, but not exceed it
+    split = np.zeros((4, 5))
+    split[[0, 2], 1:3] = [0.5, 0.25]
+    assert validate_gain(p, split)
+    split[1, 1] = 0.25
+    assert not validate_gain(p, split)
+
+
+def test_bellman_update_is_the_solver_sweep():
+    # at the returned value one bellman_update reproduces the certifying
+    # sweep bit for bit: its step is the stationarity residual, its gain K
+    graph = compile_graph(random_ssp_graph(12, seed=3, stochastic=True)).problem
+    for p in (ragged_blocks_problem(), graph):
+        sol = solve_ssp(p)
+        lam_next, K = bellman_update(p, sol.lam)
+        assert float(np.max(np.abs(lam_next - sol.lam))) == sol.stationarity
+        assert np.array_equal(K, sol.K)
+
+
+def test_problem_without_inputs():
+    p = SspProblem(A=[[0.5]], B=np.zeros((1, 0)), s=[1.0], r=[], block_sizes=(0,), E=[[1.0]])
+    sol = solve_ssp(p)
+    assert sol.lam[0] == pytest.approx(2.0, abs=1e-9)
+    assert sol.K.shape == (0, 1)
+    assert validate_gain(p, sol.K)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_update_is_monotone(seed):
     rng = np.random.default_rng(seed)
@@ -162,14 +243,6 @@ def test_solution_passes_its_own_certificates():
     assert np.all(sol.lam > 0.0)
     assert sol.rho_closed_loop < 1.0
     assert sol.stationarity < 1e-9
-
-
-def test_gauss_seidel_matches_jacobi_solution():
-    g = random_ssp_graph(9, seed=11, stochastic=True)
-    p = compile_graph(g).problem
-    jac = solve_ssp(p, SolveConfig(tol=1e-12))
-    gs = solve_ssp(p, SolveConfig(tol=1e-12, schedule=Schedule.GAUSS_SEIDEL))
-    np.testing.assert_allclose(gs.lam, jac.lam, atol=1e-10)
 
 
 def test_policy_beats_random_feasible_gains():
