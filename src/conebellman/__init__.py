@@ -73,11 +73,8 @@ from .ldp import (
 from .lqr import (
     LqrProblem,
     LqrSolution,
-    back_substitute,
-    cholesky_factor,
     cost_of_gain,
     dare_residual,
-    forward_substitute,
     riccati_step,
     solve_lqr,
 )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import SolveConfig
-from .errors import InputError, InvalidProblem, NotPositiveDefinite, SolveFailure
+from .errors import InputError, InvalidProblem, SolveFailure
 from .generators import random_ldp, random_lqr, random_ssp_graph
 from .io import ParsedProblem, load_problem, write_solution, write_trace_csv
 from .ldp import reduce as ldp_reduce
@@ -299,10 +299,6 @@ def main(argv=None) -> int:
     commands = {"solve": _cmd_solve, "verify": _cmd_verify, "bench": _cmd_bench}
     try:
         return commands[args.command](args)
-    except NotPositiveDefinite as exc:
-        # positive definiteness lost mid-iteration: the instance is infeasible
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except InputError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

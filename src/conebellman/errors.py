@@ -73,8 +73,8 @@ class NegativeLambda(InputError):
 
 # --- Riccati solver ------------------------------------------------------------
 
-class NotPositiveDefinite(InputError):
-    """A matrix required to be positive definite is not (Cholesky pivot failed)."""
+class NotPositiveDefinite(SolveFailure):
+    """R + B^T lam B lost positive definiteness mid-solve (Cholesky pivot failed)."""
 
 
 class UnstableGain(InputError):

@@ -2,17 +2,15 @@
 
 For ``x(t+1) = A x(t) + B u(t)`` with cost ``x^T Q x + u^T R u``, the
 quadratic value ansatz ``J(x) = x^T lam x`` turns the Bellman operator into
-a Riccati map.  Completing the square with ``L L^T = R + B^T lam B`` and the
-change of variables ``Khat = L^T K`` splits the input minimization into m
-independent rank-1 problems with solutions ``khat_i = -m_i`` (the rows of
-``M = L^{-1} B^T lam A``), so
+a Riccati map.  With ``S = R + B^T lam B`` and ``G = B^T lam A``, completing
+the square gives
 
-    lam' = Q + A^T lam A - M^T M,        K = -L^{-T} M.
+    lam' = Q + A^T lam A + G^T K,        K = -S^{-1} G.
 
-The factorization and the two triangular solves are written out here rather
-than delegated, so the rank-1 structure of the block minima stays visible
-and the summation order (index-ascending over the rows of M) is pinned down
-for reproducibility.
+Factoring ``S = L L^T`` splits the input minimization into m independent
+rank-1 problems (``K = -L^{-T} M`` and ``G^T S^{-1} G = M^T M`` with
+``M = L^{-1} G``); one LAPACK Cholesky per sweep checks that S is positive
+definite and one LAPACK solve yields K.
 """
 
 from __future__ import annotations
@@ -23,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import SYMMETRY_TOL, ConeTag, ValueObject
-from .engine import (
-    ConvergenceTrace,
-    SolveConfig,
-    fixed_point_solve,
-    spectral_radius,
-)
+from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
 from .errors import (
     CertificationError,
     InvalidProblem,
@@ -41,7 +34,9 @@ from .errors import (
 logger = logging.getLogger("conebellman.lqr")
 
 _LYAPUNOV_TOL = 1e-12
-_LYAPUNOV_MAX_SWEEPS = 200_000
+# 2**64 Lyapunov sweeps: the doubling summands shrink like rho**(2**k), which
+# underflows within this budget for every spectral radius a double below 1 holds
+_LYAPUNOV_MAX_DOUBLINGS = 64
 
 
 def _symmetrized(name: str, S: np.ndarray) -> np.ndarray:
@@ -129,66 +124,35 @@ class LqrSolution:
     rho_closed_loop: float
 
 
-def _chol_core(S: np.ndarray) -> np.ndarray:
-    """Factorization loop on the lower triangle; no input validation."""
-    n = S.shape[0]
-    L = np.zeros((n, n))
-    floor = 1e-14 * (float(np.max(np.abs(S))) if S.size else 0.0)
-    for j in range(n):
-        d = S[j, j] - L[j, :j] @ L[j, :j]
-        if d <= floor:
-            raise NotPositiveDefinite(
-                f"pivot {d:.6e} at column {j} (threshold {floor:.6e})"
-            )
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (S[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def cholesky_factor(S: np.ndarray) -> np.ndarray:
-    """Left-looking Cholesky: lower-triangular L with L L^T = S.
-
-    Fails with NotPositiveDefinite when a pivot falls at or below
-    1e-14 * max|S| — the matrix is numerically singular or indefinite.
-    """
-    return _chol_core(_symmetrized("S", np.asarray(S, dtype=float)))
-
-
-def forward_substitute(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve L X = Y for X with L lower triangular (Y may be a matrix)."""
-    X = np.array(Y, dtype=float)
-    for i in range(L.shape[0]):
-        X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
-    return X
-
-
-def back_substitute(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve L^T X = Y for X with L lower triangular (Y may be a matrix)."""
-    X = np.array(Y, dtype=float)
-    for i in reversed(range(L.shape[0])):
-        X[i] = (X[i] - L[i + 1 :, i] @ X[i + 1 :]) / L[i, i]
-    return X
-
-
 def _riccati_core(p: LqrProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """riccati_step without input validation (lam trusted symmetric)."""
-    L = _chol_core(p.R + p.B.T @ lam @ p.B)
-    M = forward_substitute(L, p.B.T @ lam @ p.A)
-    lam_next = p.Q + p.A.T @ lam @ p.A
-    for i in range(p.m):
-        lam_next = lam_next - np.outer(M[i], M[i])
-    lam_next = 0.5 * (lam_next + lam_next.T)
-    K = -back_substitute(L, M)
-    return lam_next, K
+    lam_B = lam @ p.B
+    S = p.R + p.B.T @ lam_B
+    G = lam_B.T @ p.A
+    if S.size:
+        try:
+            diag = np.linalg.cholesky(S).diagonal()
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("R + B^T lam B is not positive definite") from None
+        # LAPACK's pivots are the squared diagonal of L
+        floor = 1e-14 * np.abs(S).max()
+        if diag.min() ** 2 <= floor:
+            j = int(diag.argmin())
+            raise NotPositiveDefinite(
+                f"pivot {diag[j] ** 2:.6e} at column {j} (threshold {floor:.6e})"
+            )
+    K = -np.linalg.solve(S, G)
+    lam_next = p.Q + p.A.T @ (lam @ p.A) + G.T @ K
+    return 0.5 * (lam_next + lam_next.T), K
 
 
 def riccati_step(p: LqrProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Riccati map evaluation: lam' = Q + A^T lam A - M^T M, K = -L^{-T} M.
+    """One Riccati map evaluation: lam' = Q + A^T lam A + G^T K, K = -S^{-1} G.
 
-    The subtraction accumulates the m rank-1 outer products m_i m_i^T in
-    ascending row order, and the result is symmetrized on emit, so repeated
-    calls are bitwise reproducible.
+    S = R + B^T lam B must be positive definite: NotPositiveDefinite is
+    raised when its Cholesky factorization fails or its smallest pivot is at
+    or below 1e-14 * max|S|.  The result is symmetrized on emit, and repeated
+    calls with the same input are bitwise reproducible.
     """
     lam = _symmetrized("lam", np.asarray(lam, dtype=float))
     if lam.shape != (p.n, p.n):
@@ -208,12 +172,12 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
     The iteration is the finite-horizon backup with terminal weight Q, so
     the iterates are monotone nondecreasing in the semidefinite order.  On
     convergence the solution is certified: lam strictly positive definite,
-    closed loop A + BK with spectral radius below one, and Riccati defect
-    below 10 * tol.  Unstabilizable systems diverge (value grows without
-    bound) rather than failing intake.
+    closed loop A + BK with spectral radius (the largest modulus of its
+    LAPACK eigenvalues) below one, and Riccati defect below 10 * tol.
+    Unstabilizable systems diverge (value grows without bound) rather than
+    failing intake.
     """
     cfg = cfg or SolveConfig()
-    # the m rank-1 minimizations stay fused in one factorization per sweep;
     # iterates are the step's own symmetrized emissions, so none is re-validated
     result = fixed_point_solve(
         lambda lam: _riccati_core(p, lam), ValueObject(ConeTag.psd(p.n), p.Q), cfg
@@ -225,7 +189,7 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
         raise CertificationError(
             f"converged value matrix is not positive definite (min eig {min_eig:.3e})"
         )
-    rho = spectral_radius(p.A + p.B @ K)
+    rho = _closed_loop_radius(p, K)
     if rho >= 1.0:
         raise CertificationError(f"closed-loop spectral radius {rho:.6f} >= 1")
     lam_next, _ = _riccati_core(p, lam)
@@ -243,13 +207,20 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
     )
 
 
+def _closed_loop_radius(p: LqrProblem, K: np.ndarray) -> float:
+    """Spectral radius of A + BK from its LAPACK eigenvalues."""
+    return float(np.abs(np.linalg.eigvals(p.A + p.B @ K)).max()) if p.n else 0.0
+
+
 def cost_of_gain(p: LqrProblem, K: np.ndarray, x0: np.ndarray) -> float:
     """Closed-loop cost <lam_K, x0> of a fixed stabilizing gain.
 
     Solves the discrete Lyapunov equation
-    lam_K = Q + K^T R K + (A+BK)^T lam_K (A+BK) by iteration until
-    successive sweeps agree to 1e-12, then pairs with the PSD matrix x0
-    (rank-1 y y^T for a single start state).
+    lam_K = Q + K^T R K + (A+BK)^T lam_K (A+BK) by Smith doubling: with
+    A_0 = A + BK, each step X <- X + A_k^T X A_k, A_{k+1} = A_k^2 doubles the
+    number of summed sweeps, until successive iterates agree to 1e-12.  The
+    result is paired with the PSD matrix x0 (rank-1 y y^T for a single start
+    state).
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (p.m, p.n):
@@ -257,20 +228,20 @@ def cost_of_gain(p: LqrProblem, K: np.ndarray, x0: np.ndarray) -> float:
     x0 = _symmetrized("x0", np.asarray(x0, dtype=float))
     if x0.shape != (p.n, p.n):
         raise ShapeMismatch(f"x0 must be {p.n} x {p.n}, got {x0.shape}")
-    closed = p.A + p.B @ K
-    rho = spectral_radius(closed)
+    rho = _closed_loop_radius(p, K)
     if rho >= 1.0:
         raise UnstableGain(f"spectral radius of A + BK is {rho:.6f} >= 1")
-    stage = p.Q + K.T @ p.R @ K
-    lam = np.zeros((p.n, p.n))
-    for _ in range(_LYAPUNOV_MAX_SWEEPS):
-        lam_next = stage + closed.T @ lam @ closed
+    power = p.A + p.B @ K
+    lam = p.Q + K.T @ p.R @ K
+    for _ in range(_LYAPUNOV_MAX_DOUBLINGS):
+        lam_next = lam + power.T @ lam @ power
         lam_next = 0.5 * (lam_next + lam_next.T)
         gap = float(np.max(np.abs(lam_next - lam))) if lam.size else 0.0
         lam = lam_next
         if gap < _LYAPUNOV_TOL:
             return float(np.tensordot(lam, x0, axes=2))
+        power = power @ power
     raise MaxIterExceeded(
-        f"Lyapunov iteration did not reach {_LYAPUNOV_TOL} in "
-        f"{_LYAPUNOV_MAX_SWEEPS} sweeps (spectral radius {rho:.6f})"
+        f"Lyapunov doubling did not reach {_LYAPUNOV_TOL} in "
+        f"{_LYAPUNOV_MAX_DOUBLINGS} doublings (spectral radius {rho:.6f})"
     )

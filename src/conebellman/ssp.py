@@ -215,7 +215,9 @@ def _certify(p: SspProblem, lam: np.ndarray, K: np.ndarray) -> float:
         raise CertificationError("returned gain violates the constraint polytope")
     if lam.size and float(lam.min()) <= 0.0:
         raise CertificationError("converged value vector is not strictly positive")
-    closed = p.A + p.B @ K
+    # K has at most one nonzero row per block: skip the zero rows' products
+    rows = np.flatnonzero(K.any(axis=1))
+    closed = p.A + p.B[:, rows] @ K[rows]
     if np.any(closed < -_LAMBDA_TOL):
         raise CertificationError(
             "closed loop A + BK has negative entries at the optimum; "

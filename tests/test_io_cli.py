@@ -189,6 +189,23 @@ def test_solve_unstabilizable_exits_2(tmp_path):
     assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 2
 
 
+def test_solve_exits_2_when_riccati_step_loses_definiteness(tmp_path, capsys):
+    # R = 0 and B^T lam B singular: R + B^T lam B fails its Cholesky check
+    prob = write_json(
+        tmp_path,
+        "bad.json",
+        {
+            "type": "lqr",
+            "A": [[1.0]],
+            "B": [[1.0, 0.0]],
+            "Q": [[1.0]],
+            "R": [[0.0, 0.0], [0.0, 0.0]],
+        },
+    )
+    assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
 def test_solve_invalid_json_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -308,3 +325,14 @@ def test_debug_log_level_traces_iterations(tmp_path):
     )
     assert res.returncode == 0
     assert "residual" in res.stderr
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; a cold scipy import would add
+    # about half a second to every conebellman process
+    res = subprocess.run(
+        [sys.executable, "-c", "import conebellman.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr

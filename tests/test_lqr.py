@@ -1,4 +1,4 @@
-"""LQR Riccati recursion built from Cholesky and triangular substitution."""
+"""LQR Riccati recursion: one Cholesky check and one solve per step."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,10 @@ from conebellman import (
     NotPositiveDefinite,
     ShapeMismatch,
     SolveConfig,
+    SolveFailure,
     UnstableGain,
-    back_substitute,
-    cholesky_factor,
     cost_of_gain,
     dare_residual,
-    forward_substitute,
     riccati_step,
     solve_lqr,
     spectral_radius,
@@ -56,48 +54,89 @@ def test_intake_rejects_asymmetric_cost():
 
 
 # ---------------------------------------------------------------------------
-# Cholesky and substitution
+# the Cholesky check and the gain solve inside the Riccati step
+
+
+def random_step_input(seed):
+    """A random LQR problem and a random SPD lam for one step."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    C = rng.standard_normal((n, n))
+    p = LqrProblem(
+        A=rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)),
+        Q=np.eye(n),
+        R=0.1 * np.eye(m),
+    )
+    return p, C @ C.T + 0.1 * np.eye(n)
 
 
 def test_cholesky_two_by_two():
-    L = cholesky_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    np.testing.assert_array_equal(L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
+    # lam = I, B = I: S = R + I = [[4, 2], [2, 3]], G = A = I, K = -S^{-1},
+    # lam' = Q + I - S^{-1} with S^{-1} = [[3/8, -1/4], [-1/4, 1/2]]
+    p = LqrProblem(A=np.eye(2), B=np.eye(2), Q=np.eye(2), R=[[3.0, 2.0], [2.0, 2.0]])
+    lam_next, K = riccati_step(p, np.eye(2))
+    np.testing.assert_allclose(K, [[-0.375, 0.25], [0.25, -0.5]], atol=1e-15)
+    np.testing.assert_allclose(lam_next, [[1.625, 0.25], [0.25, 1.5]], atol=1e-15)
 
 
 def test_cholesky_identity():
-    np.testing.assert_array_equal(cholesky_factor(np.eye(3)), np.eye(3))
+    # S = R + B^T lam B = I: K = -G = -A and lam' = Q + A^T A - A^T A, exactly
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    p = LqrProblem(A=A, B=np.eye(2), Q=np.eye(2), R=np.zeros((2, 2)))
+    lam_next, K = riccati_step(p, np.eye(2))
+    assert np.array_equal(K, -A)
+    assert np.array_equal(lam_next, np.eye(2))
 
 
 def test_cholesky_rejects_indefinite():
+    p = LqrProblem(A=np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.zeros((2, 2)))
     with pytest.raises(NotPositiveDefinite):
-        cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        riccati_step(p, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_cholesky_reconstructs_random_spd(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 8))
-    C = rng.standard_normal((n, n))
-    S = C @ C.T + 0.1 * np.eye(n)
-    L = cholesky_factor(S)
-    assert np.all(np.triu(L, 1) == 0.0)
-    assert np.all(np.diag(L) > 0.0)
-    assert float(np.max(np.abs(L @ L.T - S))) < 1e-12 * float(np.max(np.abs(S)))
+    # the gain solves S K = -G for every random SPD S = R + B^T lam B
+    p, lam = random_step_input(seed)
+    lam_next, K = riccati_step(p, lam)
+    S = p.R + p.B.T @ lam @ p.B
+    G = p.B.T @ lam @ p.A
+    assert float(np.max(np.abs(S @ K + G))) < 1e-10 * max(1.0, float(np.max(np.abs(G))))
+    assert np.array_equal(lam_next, lam_next.T)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_triangular_solves_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 8))
-    L = np.tril(rng.standard_normal((n, n)))
-    np.fill_diagonal(L, rng.uniform(0.5, 2.0, n))
-    Y = rng.standard_normal((n, 3))
-    X = forward_substitute(L, Y)
-    np.testing.assert_allclose(L @ X, Y, atol=1e-10)
-    Z = back_substitute(L, Y)
-    np.testing.assert_allclose(L.T @ Z, Y, atol=1e-10)
+    # the rank-1 split through L L^T = S gives the same step:
+    # K = -L^{-T} M and G^T S^{-1} G = M^T M with M = L^{-1} G
+    p, lam = random_step_input(seed)
+    lam_next, K = riccati_step(p, lam)
+    L = np.linalg.cholesky(p.R + p.B.T @ lam @ p.B)
+    M = np.linalg.solve(L, p.B.T @ lam @ p.A)
+    scale = max(1.0, float(np.max(np.abs(lam_next))))
+    np.testing.assert_allclose(K, -np.linalg.solve(L.T, M), atol=1e-9 * scale)
+    np.testing.assert_allclose(
+        lam_next, p.Q + p.A.T @ lam @ p.A - M.T @ M, atol=1e-9 * scale
+    )
+
+
+def test_lapack_failure_raises_not_positive_definite():
+    # S = R + B^T lam B = [[1, 0], [0, 0]] is singular: LAPACK stops at column 1
+    p = LqrProblem(A=[[1.0]], B=[[1.0, 0.0]], Q=[[1.0]], R=np.zeros((2, 2)))
+    with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+        riccati_step(p, np.array([[1.0]]))
+    assert issubclass(NotPositiveDefinite, SolveFailure)
+
+
+def test_pivot_below_floor_raises_not_positive_definite():
+    # S = [[2, 2], [2, 2]] passes LAPACK with last pivot 4.4e-16, which is
+    # below the threshold 1e-14 * max|S| = 2e-14
+    p = LqrProblem(A=[[1.0]], B=[[1.0, 1.0]], Q=[[1.0]], R=np.ones((2, 2)))
+    with pytest.raises(NotPositiveDefinite, match="pivot .* at column 1"):
+        riccati_step(p, np.array([[1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +169,24 @@ def test_riccati_step_preserves_symmetry():
     assert np.array_equal(lam_next, lam_next.T)
 
 
+def test_riccati_step_is_bitwise_reproducible():
+    p = random_lqr(30, 15, seed=2)
+    lam_next, K = riccati_step(p, p.Q)
+    again, K_again = riccati_step(p, p.Q)
+    assert np.array_equal(lam_next, again)
+    assert np.array_equal(K, K_again)
+    assert np.array_equal(lam_next, lam_next.T)
+
+
+def test_step_gain_satisfies_first_order_condition():
+    # at any lam, not only at the fixed point: (R + B^T lam B) K + B^T lam A = 0
+    p = random_lqr(30, 15, seed=3)
+    lam = riccati_step(p, p.Q)[0]
+    _, K = riccati_step(p, lam)
+    defect = (p.R + p.B.T @ lam @ p.B) @ K + p.B.T @ lam @ p.A
+    assert float(np.max(np.abs(defect))) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # full solve
 
@@ -138,7 +195,8 @@ def test_scalar_fixed_point_is_the_golden_ratio():
     sol = solve_lqr(scalar_problem(), SolveConfig(tol=1e-13))
     assert sol.lam[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
     assert sol.K[0, 0] == pytest.approx(-GOLDEN / (1.0 + GOLDEN), abs=1e-12)
-    assert sol.rho_closed_loop < 1.0
+    # the closed loop A + BK = 1 - golden/(1 + golden) = 1/(1 + golden)
+    assert sol.rho_closed_loop == pytest.approx(1.0 / (1.0 + GOLDEN), abs=1e-15)
     assert sol.dare_residual < 1e-12
 
 
@@ -184,6 +242,15 @@ def test_cost_of_open_loop_gain_solves_lyapunov():
     p = LqrProblem(A=[[0.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
     cost = cost_of_gain(p, np.array([[0.0]]), np.array([[1.0]]))
     assert cost == pytest.approx(4.0 / 3.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("a", [0.999, 0.99999])
+def test_cost_of_open_loop_gain_near_unit_radius(a):
+    # lam_K = sum_k a^(2k) = 1/(1 - a^2); at a = 0.99999 that is over a
+    # million sweeps of the plain Lyapunov iteration
+    p = LqrProblem(A=[[a]], B=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    cost = cost_of_gain(p, np.array([[0.0]]), np.array([[1.0]]))
+    assert cost == pytest.approx(1.0 / (1.0 - a * a), rel=1e-10)
 
 
 def test_cost_of_gain_rejects_unstable_loop():

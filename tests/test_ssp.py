@@ -188,6 +188,19 @@ def test_bellman_update_is_the_solver_sweep():
         assert np.array_equal(K, sol.K)
 
 
+def test_certificate_closed_loop_skips_zero_gain_rows():
+    # the certificate multiplies only the nonzero rows of K; that closed loop
+    # must equal the dense A + BK bit for bit, and so must its radius
+    graph = compile_graph(random_ssp_graph(40, seed=5, stochastic=True)).problem
+    for p in (ragged_blocks_problem(), graph):
+        sol = solve_ssp(p)
+        rows = np.flatnonzero(sol.K.any(axis=1))
+        assert 0 < len(rows) < p.m
+        dense = p.A + p.B @ sol.K
+        assert np.array_equal(p.A + p.B[:, rows] @ sol.K[rows], dense)
+        assert sol.rho_closed_loop == spectral_radius(np.maximum(dense, 0.0))
+
+
 def test_problem_without_inputs():
     p = SspProblem(A=[[0.5]], B=np.zeros((1, 0)), s=[1.0], r=[], block_sizes=(0,), E=[[1.0]])
     sol = solve_ssp(p)
