@@ -12,26 +12,22 @@ minimized equation collapses to the affine system
 
     z = G (P̄_r^T z + p̄_g),        G = diag(exp(-s_r)),
 
-solved directly by Gaussian elimination.  The fallback iterates the same
-map, z' = G (P̄_r^T z + p̄_g), as one vectorized step of the fixed-point
-engine from z0 = 0 (monotone increasing).  The optimal controlled
-transitions then have the closed form  p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i).
+solved by Gaussian elimination once its support graph certifies
+rho(G P̄_r^T) < 1 (see `solve_desirability`).  The fallback iterates the same
+map as one vectorized step of the fixed-point engine from z0 = 0 (monotone
+increasing).  The optimal controlled transitions then have the closed form
+p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cones import ConeTag, ValueObject
-from .engine import (
-    ConvergenceTrace,
-    SolveConfig,
-    fixed_point_solve,
-    spectral_radius,
-)
+from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
 from .errors import (
     CertificationError,
     GoalNotAbsorbing,
@@ -145,6 +141,17 @@ class LdpSolution:
     bellman_residual: float
 
 
+def _reaches(support: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Mask of states with a path into the mask ``sources`` (i -> j iff support[j, i])."""
+    reached = sources.copy()
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        hit = support[frontier].any(axis=0) & ~reached
+        reached |= hit
+        frontier = np.flatnonzero(hit)
+    return reached
+
+
 def reduce(p: LdpProblem) -> ReducedLdp:
     """Delete goal rows/columns, aggregating per-state goal-transition mass.
 
@@ -154,41 +161,32 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     """
     if not p.goals:
         raise NoGoal("the goal set is empty")
-    goalset = set(p.goals)
-    for g in p.goals:
-        if p.s[g] != 0.0:
-            raise GoalNotAbsorbing(f"goal state {g} has nonzero cost {p.s[g]!r}")
-        leak = sum(p.Pbar[j, g] for j in range(p.n) if j != g)
-        if leak > _STOCHASTIC_TOL:
-            raise GoalNotAbsorbing(
-                f"goal state {g} leaks probability {leak!r} to other states"
-            )
-    nongoal = [x for x in range(p.n) if x not in goalset]
-    if any(p.s[x] <= 0.0 for x in nongoal):
-        bad = next(x for x in nongoal if p.s[x] <= 0.0)
-        raise InvalidProblem(f"non-goal state {bad} must have strictly positive cost")
+    goals = np.array(p.goals)
+    # each goal's own diagonal entry is zeroed so its 1.0 cannot cancel a leak
+    cols = p.Pbar[:, goals]
+    cols[goals, np.arange(goals.size)] = 0.0
+    leak = cols.sum(axis=0)
+    costly = p.s[goals] != 0.0
+    bad = np.flatnonzero(costly | (leak > _STOCHASTIC_TOL))
+    if bad.size:
+        k, g = bad[0], goals[bad[0]]
+        if costly[k]:
+            raise GoalNotAbsorbing(f"goal state {g} has nonzero cost {float(p.s[g])!r}")
+        raise GoalNotAbsorbing(
+            f"goal state {g} leaks probability {float(leak[k])!r} to other states"
+        )
+    nongoal = ~np.isin(np.arange(p.n), goals)
+    free = np.flatnonzero(nongoal & (p.s <= 0.0))
+    if free.size:
+        raise InvalidProblem(f"non-goal state {free[0]} must have strictly positive cost")
 
-    # reverse reachability over the support graph (edge i -> j iff Pbar[j, i] > 0)
-    reached = set(goalset)
-    frontier = list(goalset)
-    while frontier:
-        j = frontier.pop()
-        for i in range(p.n):
-            if i not in reached and p.Pbar[j, i] > 0.0:
-                reached.add(i)
-                frontier.append(i)
-    stuck = [x for x in nongoal if x not in reached]
-    if stuck:
-        raise GoalUnreachable(f"states {stuck} cannot reach any goal under Pbar")
+    stuck = np.flatnonzero(~_reaches(p.Pbar > 0.0, ~nongoal))
+    if stuck.size:
+        raise GoalUnreachable(f"states {stuck.tolist()} cannot reach any goal under Pbar")
 
-    idx = np.array(nongoal, dtype=int)
-    Pbar_r = p.Pbar[np.ix_(idx, idx)] if nongoal else np.zeros((0, 0))
-    pbar_g = (
-        p.Pbar[np.array(sorted(goalset), dtype=int)][:, idx].sum(axis=0)
-        if nongoal
-        else np.zeros(0)
-    )
-    return ReducedLdp(Pbar_r=Pbar_r, pbar_g=pbar_g, s_r=p.s[idx])
+    idx = np.flatnonzero(nongoal)
+    pbar_g = p.Pbar[np.ix_(goals, idx)].sum(axis=0)
+    return ReducedLdp(Pbar_r=p.Pbar[np.ix_(idx, idx)], pbar_g=pbar_g, s_r=p.s[idx])
 
 
 def _desirability_step(r: ReducedLdp):
@@ -207,51 +205,50 @@ def solve_desirability(
 ) -> tuple[np.ndarray, np.ndarray, ConvergenceTrace]:
     """Solve z = G(P̄_r^T z + p̄_g); return (z, lam, trace) with lam = -log z.
 
-    Primary route is the direct linear solve of (I - G P̄_r^T) z = G p̄_g;
-    if that fails or leaves a residual at or above tol, the affine map is
-    iterated from z0 = 0 instead.  Certifies the contraction condition
-    rho(G P̄_r^T) < 1, the final residual below tol, and z in (0, 1].
+    rho(G P̄_r^T) < 1 is certified exactly first: the rows of G P̄_r^T sum to
+    exp(-s_i)(1 - (p̄_g)_i) <= 1, strictly less at a deficient state (s_i > 0
+    or (p̄_g)_i > 0), and then rho < 1 iff every state has a support path to
+    a deficient one (absorbing chains; Berman & Plemmons, Nonnegative Matrices
+    in the Mathematical Sciences, ch. 6), else SingularSystem.  Then the direct
+    solve of (I - G P̄_r^T) z = G p̄_g, or, if that fails or leaves a residual
+    at or above tol, the affine map iterated from z0 = 0.  Certifies the final
+    residual below tol and z in (0, 1].
     """
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter_ns()
+    deficient = (r.s_r > 0.0) | (r.pbar_g > 0.0)
+    if not deficient.all():
+        closed = np.flatnonzero(~_reaches(r.Pbar_r > 0.0, deficient))
+        if closed.size:
+            raise SingularSystem(
+                f"rho(G Pbar_r^T) = 1: states {closed.tolist()} never reach the goal"
+            )
     g = np.exp(-r.s_r)
     GP = g[:, None] * r.Pbar_r.T
-    rho = spectral_radius(GP)
-    if rho >= 1.0:
-        raise SingularSystem(
-            f"rho(G Pbar_r^T) = {rho:.6f} >= 1: zero-cost recurrent mass "
-            "never reaches the goal"
-        )
 
     def affine_residual(z: np.ndarray) -> float:
-        if z.size == 0:
-            return 0.0
-        return float(np.max(np.abs(z - (GP @ z + g * r.pbar_g))))
+        return float(np.abs(z - (GP @ z + g * r.pbar_g)).max(initial=0.0))
 
     z = None
-    trace = None
     try:
         cand = np.linalg.solve(np.eye(r.n_r) - GP, g * r.pbar_g)
-        if affine_residual(cand) < cfg.tol:
+        residual = affine_residual(cand)
+        if residual < cfg.tol:
             z = cand
             trace = ConvergenceTrace()
-            trace.append(0, affine_residual(cand), time.perf_counter_ns() - t0)
+            trace.append(0, residual, time.perf_counter_ns() - t0)
     except np.linalg.LinAlgError:
         z = None
     if z is None:
         # iterate to stationarity below tol (the engine certifies 10x its tol)
-        inner = SolveConfig(
-            tol=cfg.tol / 10.0,
-            max_iter=cfg.max_iter,
-            divergence_cap=cfg.divergence_cap,
-        )
+        inner = replace(cfg, tol=cfg.tol / 10.0)
         result = fixed_point_solve(
             _desirability_step(r), ValueObject.zeros(ConeTag.orthant(r.n_r)), inner
         )
         z = np.array(result.value.data)
         trace = result.trace
+        residual = affine_residual(z)
 
-    residual = affine_residual(z)
     if residual >= cfg.tol:
         raise CertificationError(
             f"desirability residual {residual:.3e} >= tol {cfg.tol:.3e}"
@@ -298,7 +295,10 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
     if P.size and float(P.min()) < -_STOCHASTIC_TOL:
         raise InvalidProblem("P entries must be nonnegative")
     P = np.maximum(P, 0.0)
-    if np.any((P > 0.0) & (r.Pbar_r == 0.0)):
+    rows, cols = np.nonzero(P)
+    vals = P[rows, cols]
+    pbar = r.Pbar_r[rows, cols]
+    if np.any(pbar == 0.0):
         raise SupportViolation(
             "P places mass where Pbar_r has none (infinite divergence)"
         )
@@ -313,9 +313,8 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
             "Pbar_r gives that state no goal transition"
         )
 
-    safe_pbar = np.where(r.Pbar_r > 0.0, r.Pbar_r, 1.0)
-    ratio = np.where(P > 0.0, P / safe_pbar, 1.0)
-    kl = (np.where(P > 0.0, P * np.log(ratio), 0.0)).sum(axis=0)
+    # summed over the support only, each column in ascending row order
+    kl = np.bincount(cols, weights=vals * np.log(vals / pbar), minlength=r.n_r)
     gm = np.maximum(goal_mass, 0.0)
     safe_goal = np.where(r.pbar_g > 0.0, r.pbar_g, 1.0)
     pi = np.where(gm > 0.0, gm * np.log(np.where(gm > 0.0, gm, 1.0) / safe_goal), 0.0)
@@ -328,9 +327,7 @@ def verify_bellman(r: ReducedLdp, lam: np.ndarray, Pstar: np.ndarray) -> float:
     if lam.shape != (r.n_r,):
         raise ShapeMismatch(f"lam must have length {r.n_r}, got {lam.shape}")
     h = kl_stage_cost(r, Pstar)
-    if r.n_r == 0:
-        return 0.0
-    return float(np.max(np.abs(lam - (h + np.asarray(Pstar).T @ lam))))
+    return float(np.abs(lam - (h + np.asarray(Pstar).T @ lam)).max(initial=0.0))
 
 
 def solve_ldp(p: LdpProblem, cfg: SolveConfig | None = None) -> LdpSolution:

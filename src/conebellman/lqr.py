@@ -192,17 +192,16 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
     rho = _closed_loop_radius(p, K)
     if rho >= 1.0:
         raise CertificationError(f"closed-loop spectral radius {rho:.6f} >= 1")
-    lam_next, _ = _riccati_core(p, lam)
-    defect = float(np.max(np.abs(lam_next - lam))) if lam.size else 0.0
-    if defect >= 10.0 * cfg.tol:
+    # the engine's certifying sweep ran the Riccati map at exactly this lam
+    if result.residual >= 10.0 * cfg.tol:
         raise CertificationError(
-            f"Riccati equation residual {defect:.3e} >= {10.0 * cfg.tol:.3e}"
+            f"Riccati equation residual {result.residual:.3e} >= {10.0 * cfg.tol:.3e}"
         )
     return LqrSolution(
         lam=lam,
         K=K,
         trace=result.trace,
-        dare_residual=defect,
+        dare_residual=result.residual,
         rho_closed_loop=rho,
     )
 

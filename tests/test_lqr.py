@@ -227,6 +227,15 @@ def test_dare_residual_vanishes_at_solution_and_not_elsewhere():
     assert dare_residual(p, np.array([[1.0]])) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_reported_defect_is_the_riccati_defect_at_lam(k):
+    # solve_lqr reports its engine's certifying sweep; it must equal a fresh
+    # evaluation of the Riccati map at the returned lam bit for bit
+    p = random_lqr(20 + k, 7, seed=k)
+    sol = solve_lqr(p)
+    assert sol.dare_residual == dare_residual(p, sol.lam)
+
+
 # ---------------------------------------------------------------------------
 # fixed-gain evaluation
 
