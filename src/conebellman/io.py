@@ -109,7 +109,7 @@ def _parse_graph(obj: dict) -> GraphSsp:
         if isinstance(to, int):
             targets = (to,)
         elif isinstance(to, list):
-            targets = tuple(to)
+            targets = tuple(int(t) for t in to)  # node ids, as GraphSsp reads them
         else:
             raise InvalidProblem(f"{ctx}: 'to' must be a node id or list of them")
         if "prob" in e:

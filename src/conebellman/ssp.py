@@ -17,26 +17,31 @@ is a single segmented minimum over the stacked reduced costs,
 
 with no per-block Python call; the gain is built once, at the returned value.
 
+The value is its own stability certificate.  At the fixed point the closed
+loop ``M = A + BK`` is nonnegative and ``lam = s + K^T r + M^T lam`` with
+``lam > 0``, so lam is a linear Lyapunov function of the positive closed
+loop and the Collatz-Wielandt bound ``max_i (M^T lam)_i / lam_i`` proves
+``rho(M) < 1``; only the columns of M the gain touches are formed.
+
 A graph shorthand for ordinary (stochastic) shortest-path instances compiles
 into this matrix form with per-state unit budgets (``E = I``): every node's
 cheapest action becomes the autonomous dynamics and the remaining actions
 become redirections, so the assembled update reproduces classical value
-iteration ``lam_i <- s_i + min_a (cost_a + p_a^T lam)`` exactly.
+iteration ``lam_i <- s_i + min_a (cost_a + p_a^T lam)`` exactly.  Intake
+flattens the edges into arrays once; validation and compilation are array
+code over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .cones import ConeTag, ValueObject
-from .engine import (
-    ConvergenceTrace,
-    SolveConfig,
-    fixed_point_solve,
-    spectral_radius,
-)
+from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
 from .errors import (
     CertificationError,
     InvalidProblem,
@@ -48,6 +53,18 @@ _LAMBDA_TOL = 1e-10  # slack when checking lam >= 0 (matches cone membership)
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
+    """A read-only copy of a; a read-only array that owns its data is kept.
+
+    compile_graph hands over freshly built read-only matrices: copying them
+    again costs a page fault per page of the new buffer.
+    """
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.base is None
+        and not a.flags.writeable
+    ):
+        return a
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
@@ -201,7 +218,8 @@ def bellman_update(p: SspProblem, lam) -> tuple[np.ndarray, np.ndarray]:
     Returns (lam', K) where lam' = s + A^T lam + sum_i K_i^T c_i and K stacks
     the per-block vertex minimizers.  lam' is bitwise equal to the iterate
     solve_ssp computes from lam, because both run the same sweep, and at
-    the value solve_ssp returns K equals its gain bit for bit.
+    the value solve_ssp returns K equals its gain bit for bit.  A negative
+    lam from the caller raises NegativeLambda (an input error).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (p.n,):
@@ -211,21 +229,30 @@ def bellman_update(p: SspProblem, lam) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certify(p: SspProblem, lam: np.ndarray, K: np.ndarray) -> float:
+    """Prove rho(A + BK) < 1 with lam as a linear Lyapunov function.
+
+    For lam > 0, Collatz-Wielandt gives rho(M) <= rho(|M|) <= max_i
+    (|M|^T lam)_i / lam_i, and that bound is returned.  Only the columns the
+    gain touches differ from A (K has at most one nonzero row per block), so
+    only those columns of M are formed; the rest contribute A^T lam.
+    """
     if not validate_gain(p, K):
         raise CertificationError("returned gain violates the constraint polytope")
     if lam.size and float(lam.min()) <= 0.0:
         raise CertificationError("converged value vector is not strictly positive")
-    # K has at most one nonzero row per block: skip the zero rows' products
     rows = np.flatnonzero(K.any(axis=1))
-    closed = p.A + p.B[:, rows] @ K[rows]
+    cols = np.flatnonzero(K[rows].any(axis=0))
+    closed = p.A[:, cols] + p.B[:, rows] @ K[np.ix_(rows, cols)]
     if np.any(closed < -_LAMBDA_TOL):
         raise CertificationError(
             "closed loop A + BK has negative entries at the optimum; "
             "the budget matrix E does not preserve the orthant"
         )
-    rho = spectral_radius(np.maximum(closed, 0.0))
+    weight = p.A.T @ lam
+    weight[cols] = np.abs(closed).T @ lam
+    rho = float((weight / lam).max(initial=0.0))
     if rho >= 1.0:
-        raise CertificationError(f"closed-loop spectral radius {rho:.6f} >= 1")
+        raise CertificationError(f"closed-loop spectral radius bound {rho:.6f} >= 1")
     return rho
 
 
@@ -234,15 +261,25 @@ def solve_ssp(p: SspProblem, cfg: SolveConfig | None = None) -> SspSolution:
 
     Iterates the vectorized sweep in the generic fixed-point engine and
     certifies the result: the gain is feasible, the value vector is
-    strictly positive, and the closed loop A + BK is nonnegative with
-    spectral radius below one.  Iterates from zero are monotone
-    nondecreasing for valid budget matrices (each candidate update map is
-    affine with nonnegative coefficient matrix).
+    strictly positive, and the closed loop M = A + BK is nonnegative with
+    ``rho(M) <= max_i (M^T lam)_i / lam_i < 1``.  That Collatz-Wielandt bound
+    is a proof, not an estimate; it is ``rho_closed_loop``.  At the fixed
+    point ``lam = s + K^T r + M^T lam`` with ``s > 0``, so up to the solve
+    tolerance the bound is ``1 - min_i (s + K^T r)_i / lam_i``, below one.
+    Iterates from zero are monotone nondecreasing for valid budget matrices
+    (each candidate update map is affine with nonnegative coefficient
+    matrix); an iterate that leaves the orthant raises CertificationError.
     """
     cfg = cfg or SolveConfig()
-    result = fixed_point_solve(
-        lambda lam: _sweep(p, lam), ValueObject.zeros(ConeTag.orthant(p.n)), cfg
-    )
+    try:
+        result = fixed_point_solve(
+            lambda lam: _sweep(p, lam), ValueObject.zeros(ConeTag.orthant(p.n)), cfg
+        )
+    except NegativeLambda as exc:
+        raise CertificationError(
+            "value iterate has negative entries; "
+            "the budget matrix E does not preserve the orthant"
+        ) from exc
     lam = np.array(result.value.data)
     K = _gain(p, result.minimizer)
     rho = _certify(p, lam, K)
@@ -269,6 +306,47 @@ class GraphEdge:
     probs: tuple[float, ...]
 
 
+def _edge_error(e: GraphEdge, n_nodes: int, goals: tuple[int, ...]) -> str | None:
+    """The message of the first intake check edge e fails, or None."""
+    tgts = tuple(int(t) for t in e.targets)
+    probs = tuple(float(q) for q in e.probs)
+    if not (0 <= e.source < n_nodes):
+        return f"edge source {e.source} out of range"
+    if e.source in goals:
+        return f"goal node {e.source} must have no outgoing edges"
+    if len(tgts) != len(probs) or not tgts:
+        return "edge needs matching non-empty targets and probs"
+    if any(t < 0 or t >= n_nodes for t in tgts):
+        return f"edge target out of range in {tgts}"
+    if len(set(tgts)) != len(tgts):
+        return f"edge targets must be distinct, got {tgts}"
+    if any(q <= 0 for q in probs):
+        return "edge probabilities must be positive"
+    if abs(sum(probs) - 1.0) > 1e-12:
+        return f"edge probabilities must sum to 1, got {sum(probs)!r}"
+    if e.cost < 0:
+        return f"edge cost must be >= 0, got {e.cost}"
+    return None
+
+
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum each segment left to right, in the order Python's sum adds a tuple.
+
+    Segments are visited longest first, so the ones with more than j entries
+    form a prefix and step j costs only their count: O(nnz) work plus one
+    step per entry of the longest segment.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    longer = lengths.size - np.cumsum(np.bincount(lengths))
+    sums = np.zeros(lengths.size)
+    for j, count in enumerate(longer[:-1]):
+        sums[:count] += values[starts[:count] + j]
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
 @dataclass(frozen=True)
 class GraphSsp:
     """Shortest-path instance over an explicit node/edge graph.
@@ -278,6 +356,13 @@ class GraphSsp:
     (targets may include goal nodes — that probability mass leaves the
     system).  `s` is the per-step cost of occupying each node; goal entries
     are ignored.
+
+    Intake flattens the edges once into arrays (sources, costs, a target
+    pointer, targets, probabilities) and runs every check as a mask over
+    them; the first offending edge is re-checked alone, so the error names
+    the same edge and check as an edge-by-edge pass would.  `edges` keeps
+    the caller's GraphEdge objects; the arrays hold their values as ints
+    and floats.
     """
 
     n_nodes: int
@@ -286,47 +371,57 @@ class GraphSsp:
     s: np.ndarray
 
     def __post_init__(self):
-        if self.n_nodes < 1:
+        n = self.n_nodes
+        if n < 1:
             raise InvalidProblem("graph needs at least one node")
         goals = tuple(sorted(set(int(g) for g in self.goals)))
         if not goals:
             raise InvalidProblem("graph needs a non-empty goal set")
-        if goals[0] < 0 or goals[-1] >= self.n_nodes:
-            raise InvalidProblem(f"goal ids must lie in [0, {self.n_nodes}), got {goals}")
-        edges = []
-        for e in self.edges:
-            tgts = tuple(int(t) for t in e.targets)
-            probs = tuple(float(q) for q in e.probs)
-            if not (0 <= e.source < self.n_nodes):
-                raise InvalidProblem(f"edge source {e.source} out of range")
-            if e.source in goals:
-                raise InvalidProblem(f"goal node {e.source} must have no outgoing edges")
-            if len(tgts) != len(probs) or not tgts:
-                raise InvalidProblem("edge needs matching non-empty targets and probs")
-            if any(t < 0 or t >= self.n_nodes for t in tgts):
-                raise InvalidProblem(f"edge target out of range in {tgts}")
-            if len(set(tgts)) != len(tgts):
-                raise InvalidProblem(f"edge targets must be distinct, got {tgts}")
-            if any(q <= 0 for q in probs):
-                raise InvalidProblem("edge probabilities must be positive")
-            if abs(sum(probs) - 1.0) > 1e-12:
-                raise InvalidProblem(
-                    f"edge probabilities must sum to 1, got {sum(probs)!r}"
-                )
-            if e.cost < 0:
-                raise InvalidProblem(f"edge cost must be >= 0, got {e.cost}")
-            edges.append(GraphEdge(int(e.source), tgts, float(e.cost), probs))
+        if goals[0] < 0 or goals[-1] >= n:
+            raise InvalidProblem(f"goal ids must lie in [0, {n}), got {goals}")
+        edges = tuple(self.edges)
+        k = len(edges)
+        targets = tuple(map(attrgetter("targets"), edges))
+        probs = tuple(map(attrgetter("probs"), edges))
+        src = np.fromiter(map(attrgetter("source"), edges), dtype=np.int64, count=k)
+        cost = np.fromiter(map(attrgetter("cost"), edges), dtype=float, count=k)
+        n_tgt = np.fromiter(map(len, targets), dtype=np.int64, count=k)
+        n_prob = np.fromiter(map(len, probs), dtype=np.int64, count=k)
+        tgt = np.fromiter(chain.from_iterable(targets), dtype=np.int64, count=int(n_tgt.sum()))
+        prob = np.fromiter(chain.from_iterable(probs), dtype=float, count=int(n_prob.sum()))
+
+        bad = (src < 0) | (src >= n) | np.isin(src, goals)
+        bad |= (n_tgt != n_prob) | (n_tgt == 0)
+        tgt_edge = np.repeat(np.arange(k), n_tgt)
+        bad[tgt_edge[(tgt < 0) | (tgt >= n)]] = True
+        # (edge, target) keys; out-of-range targets clip onto shared keys,
+        # but their edges are already marked
+        key = np.sort(tgt_edge * (n + 2) + np.clip(tgt, -1, n) + 1)
+        bad[key[1:][key[1:] == key[:-1]] // (n + 2)] = True
+        bad[np.repeat(np.arange(k), n_prob)[prob <= 0]] = True
+        bad |= np.abs(_segment_sums(prob, n_prob) - 1.0) > 1e-12
+        bad |= cost < 0
+        if bad.any():
+            raise InvalidProblem(_edge_error(edges[int(bad.argmax())], n, goals))
+
         s = np.asarray(self.s, dtype=float)
-        if s.shape != (self.n_nodes,):
-            raise ShapeMismatch(f"s must have length {self.n_nodes}, got {s.shape}")
+        if s.shape != (n,):
+            raise ShapeMismatch(f"s must have length {n}, got {s.shape}")
         if np.any(s < 0):
             raise InvalidProblem("node costs must be nonnegative")
+        ptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(n_tgt, out=ptr[1:])
         object.__setattr__(self, "goals", goals)
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "s", _frozen(s))
+        flat = {"_src": src, "_cost": cost, "_ptr": ptr, "_tgt": tgt, "_prob": prob}
+        for name, a in flat.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def is_deterministic(self) -> bool:
-        return all(len(e.targets) == 1 for e in self.edges)
+        # every edge has at least one target, so one each means ptr[-1] == k
+        return int(self._ptr[-1]) == len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -351,60 +446,66 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     ``lam_i <- s_i + min_a (cost_a + p_a^T lam)``.  A node with no outgoing
     edges keeps its mass (self-loop baseline), so an instance whose goal is
     unreachable diverges at solve time instead of failing intake.
+
+    Everything is scattered from intake's flat edge arrays: column j of B
+    takes edge j's own probabilities to non-goal targets, then subtracts its
+    baseline's, so each entry is ``q - p``, ``q``, ``-p`` or zero exactly as
+    in the dense difference of the two columns.
     """
-    nongoal = [x for x in range(g.n_nodes) if x not in g.goals]
+    nongoal_mask = np.ones(g.n_nodes, dtype=bool)
+    nongoal_mask[list(g.goals)] = False
+    nongoal = np.flatnonzero(nongoal_mask)
     if np.any(g.s[nongoal] <= 0):
         raise InvalidProblem("node cost s must be > 0 on non-goal nodes")
-    state_of = {x: i for i, x in enumerate(nongoal)}
-    n = len(nongoal)
+    n = nongoal.size
     if n == 0:
         raise InvalidProblem("graph has no non-goal nodes; nothing to solve")
+    state = np.cumsum(nongoal_mask) - 1  # state of each non-goal node
+    src, cost, tgt, prob = g._src, g._cost, g._tgt, g._prob
+    k = src.size
 
-    edges_at: list[list[int]] = [[] for _ in range(g.n_nodes)]
-    for idx, e in enumerate(g.edges):
-        edges_at[e.source].append(idx)
+    # gain rows: edges grouped by source state, in index order within a block
+    rows = np.argsort(src, kind="stable")
+    row_of_edge = np.empty(k, dtype=np.int64)
+    row_of_edge[rows] = np.arange(k)
+    sizes = np.bincount(state[src], minlength=n)
+    offsets = np.cumsum(sizes) - sizes
+    has = np.flatnonzero(sizes)
+    # lexsort is stable: within a node, the cheapest edge with the lowest index
+    base = np.lexsort((cost, src))[offsets[has]]
 
-    def restricted(edge: GraphEdge) -> np.ndarray:
-        col = np.zeros(n)
-        for t, q in zip(edge.targets, edge.probs):
-            if t in state_of:
-                col[state_of[t]] += q
-        return col
+    entry_edge = np.repeat(np.arange(k), np.diff(g._ptr))
+    kept = nongoal_mask[tgt]  # mass to a goal leaves the system
+    is_base = np.zeros(k, dtype=bool)
+    is_base[base] = True
+    on_base = kept & is_base[entry_edge]
+    base_row = state[tgt[on_base]]
+    base_block = state[src[entry_edge[on_base]]]
 
     A = np.zeros((n, n))
-    s = np.zeros(n)
-    blocks = []
-    b_cols: list[np.ndarray] = []
-    r: list[float] = []
-    edge_of_row: list[int] = []
-    for i, x in enumerate(nongoal):
-        own = edges_at[x]
-        if not own:
-            A[i, i] = 1.0  # stuck mass: divergence will report unreachability
-            s[i] = g.s[x]
-            blocks.append(0)
-            continue
-        base_idx = min(own, key=lambda idx: (g.edges[idx].cost, idx))
-        base = g.edges[base_idx]
-        A[:, i] = restricted(base)
-        s[i] = g.s[x] + base.cost
-        blocks.append(len(own))
-        base_col = A[:, i]
-        for idx in own:
-            e = g.edges[idx]
-            b_cols.append(restricted(e) - base_col)
-            r.append(e.cost - base.cost)
-            edge_of_row.append(idx)
+    A[base_row, base_block] = prob[on_base]
+    stuck = np.flatnonzero(sizes == 0)
+    A[stuck, stuck] = 1.0  # stuck mass: divergence will report unreachability
+    s = g.s[nongoal]
+    s[has] += cost[base]
 
-    m = len(b_cols)
-    B = np.stack(b_cols, axis=1) if m else np.zeros((n, 0))
-    problem = SspProblem(
-        A=A, B=B, s=s, r=np.array(r), block_sizes=tuple(blocks), E=np.eye(n)
+    B = np.zeros((n, k))
+    B[state[tgt[kept]], row_of_edge[entry_edge[kept]]] = prob[kept]
+    # each baseline entry is subtracted from every row of its block
+    reps = sizes[base_block]
+    first = np.repeat(offsets[base_block] - (np.cumsum(reps) - reps), reps)
+    B[np.repeat(base_row, reps), first + np.arange(reps.sum())] -= np.repeat(
+        prob[on_base], reps
     )
+    r = cost[rows] - np.repeat(cost[base], sizes[has])
+    E = np.eye(n)
+    for a in (A, B, s, r, E):
+        a.setflags(write=False)  # fresh and read-only: SspProblem keeps them
+    problem = SspProblem(A=A, B=B, s=s, r=r, block_sizes=tuple(sizes.tolist()), E=E)
     return CompiledGraph(
         problem=problem,
-        node_of_state=tuple(nongoal),
-        edge_of_row=tuple(edge_of_row),
+        node_of_state=tuple(nongoal.tolist()),
+        edge_of_row=tuple(rows.tolist()),
     )
 
 

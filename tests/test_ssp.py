@@ -1,11 +1,14 @@
 """Stochastic shortest path: Bellman update, gain feasibility, graph frontend."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conebellman import (
+    CertificationError,
     GraphEdge,
     GraphSsp,
     InvalidProblem,
@@ -21,6 +24,7 @@ from conebellman import (
     spectral_radius,
     validate_gain,
 )
+from conebellman import cli, engine, ssp
 from conebellman.generators import random_chain_graph, random_ssp_graph
 from conebellman.oracles import dijkstra, ssp_value_iteration
 
@@ -190,7 +194,8 @@ def test_bellman_update_is_the_solver_sweep():
 
 def test_certificate_closed_loop_skips_zero_gain_rows():
     # the certificate multiplies only the nonzero rows of K; that closed loop
-    # must equal the dense A + BK bit for bit, and so must its radius
+    # must equal the dense A + BK bit for bit, and its bound must equal the
+    # Collatz-Wielandt ratio of the dense |A + BK| (up to summation order)
     graph = compile_graph(random_ssp_graph(40, seed=5, stochastic=True)).problem
     for p in (ragged_blocks_problem(), graph):
         sol = solve_ssp(p)
@@ -198,7 +203,97 @@ def test_certificate_closed_loop_skips_zero_gain_rows():
         assert 0 < len(rows) < p.m
         dense = p.A + p.B @ sol.K
         assert np.array_equal(p.A + p.B[:, rows] @ sol.K[rows], dense)
-        assert sol.rho_closed_loop == spectral_radius(np.maximum(dense, 0.0))
+        bound = float(np.max((np.abs(dense).T @ sol.lam) / sol.lam))
+        assert sol.rho_closed_loop == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certified_bound_dominates_the_spectral_radius(seed):
+    problems = [ragged_blocks_problem()] if seed == 0 else []
+    problems += [
+        compile_graph(random_ssp_graph(12 + 7 * seed, seed=seed, stochastic=True)).problem,
+        compile_graph(random_chain_graph(10 + 5 * seed, seed=seed)).problem,
+    ]
+    for p in problems:
+        sol = solve_ssp(p)
+        rho = float(np.max(np.abs(np.linalg.eigvals(p.A + p.B @ sol.K))))
+        assert rho - 1e-12 <= sol.rho_closed_loop < 1.0
+        # at the fixed point the bound is 1 - min_i w_i / lam_i, w = s + K^T r
+        w = p.s + sol.K.T @ p.r
+        assert sol.rho_closed_loop == pytest.approx(1.0 - np.min(w / sol.lam), abs=1e-9)
+
+
+def test_near_unit_self_loop_certifies_its_radius():
+    # one state that keeps 0.999 of its mass: lam = 1000 after ~23.7k sweeps
+    p = SspProblem(
+        A=[[0.999]], B=np.zeros((1, 0)), s=[1.0], r=[], block_sizes=(0,), E=[[1.0]]
+    )
+    sol = solve_ssp(p)
+    assert sol.lam[0] == pytest.approx(1000.0, rel=1e-6)
+    assert sol.rho_closed_loop == pytest.approx(0.999, abs=1e-12)
+    assert len(sol.trace) > 20_000
+
+
+def test_certificate_rejects_a_bound_of_one():
+    # lam = 1 is no Lyapunov function for x(t+1) = x(t): the bound reads 1
+    p = SspProblem(
+        A=[[1.0]], B=np.zeros((1, 0)), s=[1.0], r=[], block_sizes=(0,), E=[[1.0]]
+    )
+    with pytest.raises(CertificationError, match="bound 1.000000 >= 1"):
+        ssp._certify(p, np.array([1.0]), np.zeros((0, 1)))
+
+
+def test_ssp_never_estimates_a_spectral_radius(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("spectral_radius called")
+
+    monkeypatch.setattr(engine, "spectral_radius", boom)
+    monkeypatch.setattr(ssp, "spectral_radius", boom, raising=False)
+    g = random_ssp_graph(60, seed=2, stochastic=True)
+    sol = solve_ssp(compile_graph(g).problem)
+    assert 0.0 < sol.rho_closed_loop < 1.0
+
+
+def orthant_leaving_problem():
+    """Valid at intake, but E moves mass negatively: sweep 2 gives [1, -49]."""
+    return SspProblem(
+        A=np.zeros((2, 2)),
+        B=[[-10.0], [0.0]],
+        s=[1.0, 1.0],
+        r=[0.0],
+        block_sizes=(1, 0),
+        E=[[0.0, 5.0], [0.0, 0.0]],
+    )
+
+
+def test_negative_iterate_inside_solve_is_a_certification_failure():
+    p = orthant_leaving_problem()
+    lam, _ = bellman_update(p, bellman_update(p, [0.0, 0.0])[0])
+    assert np.array_equal(lam, [1.0, -49.0])
+    with pytest.raises(NegativeLambda):  # a caller's negative lam: input error
+        bellman_update(p, lam)
+    with pytest.raises(CertificationError, match="does not preserve the orthant"):
+        solve_ssp(p)
+
+
+def test_cli_exits_2_when_an_iterate_leaves_the_orthant(tmp_path, capsys):
+    p = orthant_leaving_problem()
+    path = tmp_path / "leaves.json"
+    path.write_text(
+        json.dumps(
+            {
+                "type": "ssp",
+                "A": p.A.tolist(),
+                "B": p.B.tolist(),
+                "s": p.s.tolist(),
+                "r": p.r.tolist(),
+                "blocks": list(p.block_sizes),
+                "E": p.E.tolist(),
+            }
+        )
+    )
+    assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    assert "does not preserve the orthant" in capsys.readouterr().err
 
 
 def test_problem_without_inputs():
@@ -395,3 +490,234 @@ def test_random_deterministic_graphs_agree_with_dijkstra(seed):
     sol = solve_ssp(comp.problem)
     d = dijkstra(g)
     np.testing.assert_allclose(sol.lam, d[list(comp.node_of_state)], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array intake and compile against the edge-by-edge reference
+
+
+def _reference_intake(n_nodes, goals, edges, s):
+    """The edge-by-edge GraphSsp validator: normalized (goals, edges, s)."""
+    if n_nodes < 1:
+        raise InvalidProblem("graph needs at least one node")
+    goals = tuple(sorted(set(int(g) for g in goals)))
+    if not goals:
+        raise InvalidProblem("graph needs a non-empty goal set")
+    if goals[0] < 0 or goals[-1] >= n_nodes:
+        raise InvalidProblem(f"goal ids must lie in [0, {n_nodes}), got {goals}")
+    out = []
+    for e in edges:
+        tgts = tuple(int(t) for t in e.targets)
+        probs = tuple(float(q) for q in e.probs)
+        if not (0 <= e.source < n_nodes):
+            raise InvalidProblem(f"edge source {e.source} out of range")
+        if e.source in goals:
+            raise InvalidProblem(f"goal node {e.source} must have no outgoing edges")
+        if len(tgts) != len(probs) or not tgts:
+            raise InvalidProblem("edge needs matching non-empty targets and probs")
+        if any(t < 0 or t >= n_nodes for t in tgts):
+            raise InvalidProblem(f"edge target out of range in {tgts}")
+        if len(set(tgts)) != len(tgts):
+            raise InvalidProblem(f"edge targets must be distinct, got {tgts}")
+        if any(q <= 0 for q in probs):
+            raise InvalidProblem("edge probabilities must be positive")
+        if abs(sum(probs) - 1.0) > 1e-12:
+            raise InvalidProblem(f"edge probabilities must sum to 1, got {sum(probs)!r}")
+        if e.cost < 0:
+            raise InvalidProblem(f"edge cost must be >= 0, got {e.cost}")
+        out.append(GraphEdge(int(e.source), tgts, float(e.cost), probs))
+    s = np.asarray(s, dtype=float)
+    if s.shape != (n_nodes,):
+        raise ShapeMismatch(f"s must have length {n_nodes}, got {s.shape}")
+    if np.any(s < 0):
+        raise InvalidProblem("node costs must be nonnegative")
+    return goals, tuple(out), s
+
+
+def _reference_compile(n_nodes, goals, edges, s_node):
+    """The per-edge compiler with dense restricted columns, as plain arrays."""
+    nongoal = [x for x in range(n_nodes) if x not in goals]
+    if np.any(s_node[nongoal] <= 0):
+        raise InvalidProblem("node cost s must be > 0 on non-goal nodes")
+    state_of = {x: i for i, x in enumerate(nongoal)}
+    n = len(nongoal)
+    if n == 0:
+        raise InvalidProblem("graph has no non-goal nodes; nothing to solve")
+
+    edges_at = [[] for _ in range(n_nodes)]
+    for idx, e in enumerate(edges):
+        edges_at[e.source].append(idx)
+
+    def restricted(edge):
+        col = np.zeros(n)
+        for t, q in zip(edge.targets, edge.probs):
+            if t in state_of:
+                col[state_of[t]] += q
+        return col
+
+    A = np.zeros((n, n))
+    s = np.zeros(n)
+    blocks, b_cols, r, edge_of_row = [], [], [], []
+    for i, x in enumerate(nongoal):
+        own = edges_at[x]
+        if not own:
+            A[i, i] = 1.0
+            s[i] = s_node[x]
+            blocks.append(0)
+            continue
+        base_idx = min(own, key=lambda idx: (edges[idx].cost, idx))
+        base = edges[base_idx]
+        A[:, i] = restricted(base)
+        s[i] = s_node[x] + base.cost
+        blocks.append(len(own))
+        base_col = A[:, i]
+        for idx in own:
+            e = edges[idx]
+            b_cols.append(restricted(e) - base_col)
+            r.append(e.cost - base.cost)
+            edge_of_row.append(idx)
+    B = np.stack(b_cols, axis=1) if b_cols else np.zeros((n, 0))
+    return dict(
+        A=A, B=B, s=s, r=np.array(r), E=np.eye(n), block_sizes=tuple(blocks),
+        node_of_state=tuple(nongoal), edge_of_row=tuple(edge_of_row),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return (type(exc), str(exc))
+
+
+def _assert_compiled_like_reference(comp, ref):
+    """Every compiled field equals the reference bit for bit, sign bits included."""
+    p = comp.problem
+    for name in ("A", "B", "s", "r", "E"):
+        got, want = getattr(p, name), ref[name]
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert p.block_sizes == ref["block_sizes"]
+    assert comp.node_of_state == ref["node_of_state"]
+    assert comp.edge_of_row == ref["edge_of_row"]
+
+
+def _closing_simplex(weights):
+    p = [w / sum(weights) for w in weights]
+    p[-1] = 1.0 - sum(p[:-1])
+    return tuple(p)
+
+
+@st.composite
+def raw_graphs(draw):
+    """Mostly valid edge lists with one kind of defect mixed in at a time."""
+    n = draw(st.integers(1, 7))
+    goals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 3)))
+    goals = draw(st.sampled_from([goals] * 30 + [[], [n], [-1]]))
+    nongoal = [x for x in range(n) if x not in goals] or [0]
+    edges = []
+    for _ in range(draw(st.integers(0, 9))):
+        defect = draw(st.sampled_from([None] * 12 + [
+            "source", "goal_source", "no_targets", "length", "target",
+            "duplicate", "zero_prob", "negative_prob", "sum_off", "cost",
+        ]))
+        source = draw(st.sampled_from(nongoal))
+        if defect == "source":
+            source = draw(st.sampled_from([-1, n, n + 3]))
+        elif defect == "goal_source":
+            source = draw(st.sampled_from(goals or [0]))
+        k = draw(st.integers(1, min(3, n)))
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        probs = _closing_simplex(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+        cost = draw(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0, 1.5, 3.0]))
+        if defect == "no_targets":
+            targets, probs = [], ()
+        elif defect == "length":
+            probs = probs + (0.5,)
+        elif defect == "target":
+            targets[-1] = draw(st.sampled_from([-1, n, n + 2]))
+        elif defect == "duplicate":
+            targets.append(targets[0])
+            probs = _closing_simplex([1] * len(targets))
+        elif defect == "zero_prob":  # still sums to one when k > 1
+            probs = (1.0,) + (0.0,) * (k - 1) if k > 1 else (0.0,)
+        elif defect == "negative_prob":
+            probs = (1.5, -0.5) + (0.0,) * (k - 2) if k > 1 else (-1.0,)
+        elif defect == "sum_off":
+            probs = probs[:-1] + (probs[-1] + draw(st.sampled_from([1e-11, -1e-11, 5e-13])),)
+        elif defect == "cost":
+            cost = draw(st.sampled_from([-1.0, -1e-300]))
+        edges.append(GraphEdge(source, tuple(targets), cost, probs))
+    s = [0.0 if x in goals else draw(st.sampled_from([0.05, 0.1, 0.25])) for x in range(n)]
+    s_defect = draw(st.sampled_from([None] * 12 + ["negative", "zero", "length"]))
+    if s_defect == "negative":
+        s[0] = -0.1
+    elif s_defect == "zero":
+        s[nongoal[0]] = 0.0
+    elif s_defect == "length":
+        s = s + [0.1]
+    return n, goals, tuple(edges), s
+
+
+def _one_edge(targets, probs, cost=1.0, source=0):
+    """Three nodes, goal 2, one edge: a fixed example of a single defect."""
+    return 3, [2], (GraphEdge(source, targets, cost, probs),), [0.1, 0.1, 0.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_graphs())
+@example(_one_edge((3,), (1.0,)))
+@example(_one_edge((1, -1), (0.5, 0.5)))
+@example(_one_edge((1, 1), (0.5, 0.5)))
+@example(_one_edge((0, 1), (1.0, 0.0)))
+@example(_one_edge((0, 1), (1.5, -0.5)))
+@example(_one_edge((0, 1), (0.5, 0.5 + 1e-11)))
+@example(_one_edge((0, 1), (0.5, 0.5 + 5e-13)))
+@example(_one_edge((1,), (1.0,), cost=-1.0))
+@example(_one_edge((1,), (1.0,), source=2))
+@example(_one_edge((), ()))
+def test_array_intake_and_compile_match_the_edge_by_edge_reference(raw):
+    n, goals, edges, s = raw
+    ref = _outcome(_reference_intake, n, goals, edges, s)
+    got = _outcome(lambda: GraphSsp(n_nodes=n, goals=tuple(goals), edges=edges, s=s))
+    if isinstance(ref, tuple) and isinstance(ref[0], type):
+        assert got == ref  # same exception class and message
+        return
+    assert isinstance(got, GraphSsp)
+    ref_goals, ref_edges, ref_s = ref
+    assert got.goals == ref_goals and got.edges == ref_edges
+    assert got.s.tobytes() == ref_s.tobytes()
+    assert got.is_deterministic() == all(len(e.targets) == 1 for e in ref_edges)
+    ref_comp = _outcome(_reference_compile, n, ref_goals, ref_edges, ref_s)
+    comp = _outcome(compile_graph, got)
+    if isinstance(ref_comp, tuple):
+        assert comp == ref_comp
+    else:
+        _assert_compiled_like_reference(comp, ref_comp)
+
+
+def _generated_graphs():
+    for n in (8, 30, 300):
+        for seed in range(6):
+            for stochastic in (False, True):
+                yield random_ssp_graph(n, seed=seed, stochastic=stochastic)
+    for k in range(12):
+        yield random_chain_graph(5 + 7 * k, seed=k)
+
+
+def test_compile_matches_the_reference_on_generated_graphs():
+    graphs = list(_generated_graphs())
+    assert len(graphs) == 48
+    for g in graphs:
+        ref = _reference_compile(g.n_nodes, g.goals, g.edges, g.s)
+        _assert_compiled_like_reference(compile_graph(g), ref)
+
+
+def test_compiled_matrices_are_kept_without_a_copy():
+    comp = compile_graph(random_ssp_graph(20, seed=4, stochastic=True))
+    p = comp.problem
+    rebuilt = SspProblem(A=p.A, B=p.B, s=p.s, r=p.r, block_sizes=p.block_sizes, E=p.E)
+    assert rebuilt.B is p.B and not p.B.flags.writeable
+    # a caller's writeable array is still copied and frozen
+    A = np.array(p.A)
+    assert SspProblem(A=A, B=p.B, s=p.s, r=p.r, block_sizes=p.block_sizes, E=p.E).A is not A
