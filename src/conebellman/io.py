@@ -87,13 +87,28 @@ def _as_vector(raw, field: str) -> np.ndarray:
     return v
 
 
+def _convert(kind, raw, field: str, context: str):
+    """kind(raw); a value that does not convert is invalid input naming its field."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        what = "an integer node id" if kind is int else "a number"
+        message = f"{context}: {field!r} holds {raw!r}, which is not {what}"
+        raise InvalidProblem(message) from None
+
+
 def _parse_graph(obj: dict) -> GraphSsp:
     _no_extras(obj, {"type", "nodes", "goal", "edges", "s"}, "ssp-graph")
     nodes = _require(obj, "nodes", "ssp-graph")
     if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1:
         raise InvalidProblem(f"ssp-graph: 'nodes' must be a positive count, got {nodes!r}")
     raw_goal = _require(obj, "goal", "ssp-graph")
-    goal = [raw_goal] if isinstance(raw_goal, int) else list(raw_goal)
+    if isinstance(raw_goal, int):
+        goal = [raw_goal]
+    elif isinstance(raw_goal, list):
+        goal = [_convert(int, g, "goal", "ssp-graph") for g in raw_goal]
+    else:
+        raise InvalidProblem("ssp-graph: 'goal' must be a node id or list of them")
     raw_edges = _require(obj, "edges", "ssp-graph")
     if not isinstance(raw_edges, list):
         raise InvalidProblem("ssp-graph: 'edges' must be a list")
@@ -109,7 +124,7 @@ def _parse_graph(obj: dict) -> GraphSsp:
         if isinstance(to, int):
             targets = (to,)
         elif isinstance(to, list):
-            targets = tuple(int(t) for t in to)  # node ids, as GraphSsp reads them
+            targets = tuple(_convert(int, t, "to", ctx) for t in to)
         else:
             raise InvalidProblem(f"{ctx}: 'to' must be a node id or list of them")
         if "prob" in e:
@@ -118,15 +133,14 @@ def _parse_graph(obj: dict) -> GraphSsp:
                 raise InvalidProblem(
                     f"{ctx}: 'prob' must be a list matching 'to' ({len(targets)} entries)"
                 )
-            probs = tuple(float(q) for q in prob)
+            probs = tuple(_convert(float, q, "prob", ctx) for q in prob)
         elif len(targets) == 1:
             probs = (1.0,)
         else:
             raise InvalidProblem(f"{ctx}: 'prob' is required when 'to' lists several nodes")
-        try:
-            edges.append(GraphEdge(int(src), targets, float(cost), probs))
-        except (TypeError, ValueError) as exc:
-            raise InvalidProblem(f"{ctx}: {exc}")
+        edges.append(GraphEdge(
+            _convert(int, src, "from", ctx), targets, _convert(float, cost, "cost", ctx), probs
+        ))
     s = _as_vector(_require(obj, "s", "ssp-graph"), "s")
     return GraphSsp(n_nodes=nodes, goals=tuple(goal), edges=tuple(edges), s=s)
 
@@ -175,7 +189,7 @@ def parse_problem(obj: dict) -> ParsedProblem:
         problem = LdpProblem(
             Pbar=_as_matrix(_require(obj, "Pbar", "ldp"), "Pbar"),
             s=_as_vector(_require(obj, "s", "ldp"), "s"),
-            goals=tuple(goals),
+            goals=tuple(_convert(int, g, "goals", "ldp") for g in goals),
         )
         return ParsedProblem(kind="ldp", problem=problem)
     raise InvalidProblem(

@@ -17,6 +17,13 @@ rho(G P̄_r^T) < 1 (see `solve_desirability`).  The fallback iterates the same
 map as one vectorized step of the fixed-point engine from z0 = 0 (monotone
 increasing).  The optimal controlled transitions then have the closed form
 p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i).
+
+Every stage runs on the support.  Each dense matrix received (P̄, a directly
+built P̄_r, the P given to `kl_stage_cost`) is scanned once for its row-major
+nonzeros (rows, cols, vals); all other work is O(nnz) on those arrays, and
+dense outputs are scattered from them.  Column sums are `np.bincount`, which
+adds each column in ascending row order as ``P.sum(axis=0)`` does, so results
+keep their bits.  Only the one dense LU of the direct solve is not O(nnz).
 """
 
 from __future__ import annotations
@@ -42,10 +49,31 @@ from .errors import (
 _STOCHASTIC_TOL = 1e-12
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
+def _support(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major (rows, cols, vals) of the nonzero entries of the square P."""
+    flat = np.flatnonzero(P != 0.0)
+    rows, cols = np.divmod(flat, P.shape[0])
+    return rows, cols, P[rows, cols]
+
+
+def _colsums(cols: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per-column sums of support weights, each added in ascending row order.
+
+    np.bincount returns int64 zeros for an empty support; the sums stay float.
+    """
+    return np.bincount(cols, weights=weights, minlength=n).astype(float, copy=False)
+
+
+def _scatter(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    P = np.zeros((n, n))
+    P[rows, cols] = vals
+    return P
+
+
+def _freeze(obj, **arrays) -> None:
+    for name, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
@@ -54,7 +82,8 @@ class LdpProblem:
 
     Column i of Pbar is the transition distribution FROM state i.  Goal
     semantics (absorbing, zero cost, reachable) are checked by `reduce`,
-    which is the only road to a solvable reduced system.
+    which is the only road to a solvable reduced system.  Entries down to
+    -1e-12 are clamped to zero; `Pbar` is that clamped copy.
     """
 
     Pbar: np.ndarray
@@ -63,28 +92,34 @@ class LdpProblem:
 
     def __post_init__(self):
         P = np.asarray(self.Pbar, dtype=float)
-        s = np.asarray(self.s, dtype=float)
+        s = np.array(self.s, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ShapeMismatch(f"Pbar must be square, got {P.shape}")
         n = P.shape[0]
         if s.shape != (n,):
             raise ShapeMismatch(f"s must have length {n}, got {s.shape}")
-        if P.size and float(P.min()) < -_STOCHASTIC_TOL:
+        clamped = np.maximum(P, 0.0)  # the one copy of the caller's matrix
+        rows, cols, vals = _support(P)
+        if not np.all(np.isfinite(vals)):
+            raise InvalidProblem("Pbar entries must be finite")
+        if vals.size and float(vals.min()) < -_STOCHASTIC_TOL:
             raise InvalidProblem("Pbar entries must be nonnegative")
-        P = np.maximum(P, 0.0)
-        colsums = P.sum(axis=0)
+        kept = vals > 0.0
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+        colsums = _colsums(cols, vals, n)
         if np.any(np.abs(colsums - 1.0) > _STOCHASTIC_TOL):
             worst = int(np.argmax(np.abs(colsums - 1.0)))
             raise InvalidProblem(
                 f"column {worst} of Pbar sums to {float(colsums[worst])!r}, not 1"
             )
+        if not np.all(np.isfinite(s)):
+            raise InvalidProblem("stage cost s must be finite")
         if np.any(s < 0):
             raise InvalidProblem("stage cost s must be nonnegative")
         goals = tuple(sorted(set(int(g) for g in self.goals)))
         if goals and (goals[0] < 0 or goals[-1] >= n):
             raise InvalidProblem(f"goal ids must lie in [0, {n}), got {goals}")
-        object.__setattr__(self, "Pbar", _frozen(P))
-        object.__setattr__(self, "s", _frozen(s))
+        _freeze(self, Pbar=clamped, s=s, _rows=rows, _cols=cols, _vals=vals)
         object.__setattr__(self, "goals", goals)
 
     @property
@@ -105,9 +140,9 @@ class ReducedLdp:
     s_r: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.Pbar_r, dtype=float)
-        g = np.asarray(self.pbar_g, dtype=float)
-        s = np.asarray(self.s_r, dtype=float)
+        P = np.array(self.Pbar_r, dtype=float)
+        g = np.array(self.pbar_g, dtype=float)
+        s = np.array(self.s_r, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ShapeMismatch(f"Pbar_r must be square, got {P.shape}")
         n = P.shape[0]
@@ -115,21 +150,27 @@ class ReducedLdp:
             raise ShapeMismatch(
                 f"pbar_g and s_r must have length {n}, got {g.shape} and {s.shape}"
             )
-        if (P.size and float(P.min()) < 0.0) or np.any(g < 0):
-            raise InvalidProblem("reduced transitions must be nonnegative")
-        if np.any(np.abs(P.sum(axis=0) + g - 1.0) > _STOCHASTIC_TOL):
-            raise InvalidProblem(
-                "each column of Pbar_r plus its goal mass must sum to 1"
-            )
-        if np.any(s < 0):
-            raise InvalidProblem("reduced stage cost must be nonnegative")
-        object.__setattr__(self, "Pbar_r", _frozen(P))
-        object.__setattr__(self, "pbar_g", _frozen(g))
-        object.__setattr__(self, "s_r", _frozen(s))
+        _adopt(self, P, g, s, _support(P))
 
     @property
     def n_r(self) -> int:
         return self.Pbar_r.shape[0]
+
+
+def _adopt(r: ReducedLdp, P, g, s, support) -> None:
+    """Check a reduced system on its support and store it, read-only, in r."""
+    rows, cols, vals = support
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(g))):
+        raise InvalidProblem("reduced transitions must be finite")
+    if (vals.size and float(vals.min()) < 0.0) or np.any(g < 0):
+        raise InvalidProblem("reduced transitions must be nonnegative")
+    if np.any(np.abs(_colsums(cols, vals, g.size) + g - 1.0) > _STOCHASTIC_TOL):
+        raise InvalidProblem("each column of Pbar_r plus its goal mass must sum to 1")
+    if not np.all(np.isfinite(s)):
+        raise InvalidProblem("reduced stage cost must be finite")
+    if np.any(s < 0):
+        raise InvalidProblem("reduced stage cost must be nonnegative")
+    _freeze(r, Pbar_r=P, pbar_g=g, s_r=s, _rows=rows, _cols=cols, _vals=vals)
 
 
 @dataclass
@@ -141,14 +182,23 @@ class LdpSolution:
     bellman_residual: float
 
 
-def _reaches(support: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Mask of states with a path into the mask ``sources`` (i -> j iff support[j, i])."""
+def _reaches(rows: np.ndarray, cols: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Mask of states with a support path into the mask ``sources``.
+
+    (rows, cols) is a row-major support and i -> j iff (j, i) is in it, so
+    row j lists the states that step into j.  Each level gathers the rows of
+    the frontier through the row pointer: O(nnz) work in all.
+    """
+    ptr = np.searchsorted(rows, np.arange(sources.size + 1))
     reached = sources.copy()
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        hit = support[frontier].any(axis=0) & ~reached
-        reached |= hit
-        frontier = np.flatnonzero(hit)
+        start = ptr[frontier]
+        count = ptr[frontier + 1] - start
+        offset = np.repeat(start - (np.cumsum(count) - count), count)
+        into = cols[offset + np.arange(offset.size)]
+        frontier = np.unique(into[~reached[into]])
+        reached[frontier] = True
     return reached
 
 
@@ -162,10 +212,12 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     if not p.goals:
         raise NoGoal("the goal set is empty")
     goals = np.array(p.goals)
-    # each goal's own diagonal entry is zeroed so its 1.0 cannot cancel a leak
-    cols = p.Pbar[:, goals]
-    cols[goals, np.arange(goals.size)] = 0.0
-    leak = cols.sum(axis=0)
+    rows, cols, vals = p._rows, p._cols, p._vals
+    is_goal = np.zeros(p.n, dtype=bool)
+    is_goal[goals] = True
+    # a goal's own diagonal entry is left out so its 1.0 cannot cancel a leak
+    out = is_goal[cols] & (rows != cols)
+    leak = _colsums(cols[out], vals[out], p.n)[goals]
     costly = p.s[goals] != 0.0
     bad = np.flatnonzero(costly | (leak > _STOCHASTIC_TOL))
     if bad.size:
@@ -175,18 +227,24 @@ def reduce(p: LdpProblem) -> ReducedLdp:
         raise GoalNotAbsorbing(
             f"goal state {g} leaks probability {float(leak[k])!r} to other states"
         )
-    nongoal = ~np.isin(np.arange(p.n), goals)
+    nongoal = ~is_goal
     free = np.flatnonzero(nongoal & (p.s <= 0.0))
     if free.size:
         raise InvalidProblem(f"non-goal state {free[0]} must have strictly positive cost")
 
-    stuck = np.flatnonzero(~_reaches(p.Pbar > 0.0, ~nongoal))
+    stuck = np.flatnonzero(~_reaches(rows, cols, is_goal))
     if stuck.size:
         raise GoalUnreachable(f"states {stuck.tolist()} cannot reach any goal under Pbar")
 
     idx = np.flatnonzero(nongoal)
-    pbar_g = p.Pbar[np.ix_(goals, idx)].sum(axis=0)
-    return ReducedLdp(Pbar_r=p.Pbar[np.ix_(idx, idx)], pbar_g=pbar_g, s_r=p.s[idx])
+    to_goal = is_goal[rows]
+    pbar_g = _colsums(cols[to_goal], vals[to_goal], p.n)[idx]
+    inner = nongoal[rows] & nongoal[cols]
+    pos = np.cumsum(nongoal) - 1  # reduced index of each non-goal state
+    support = (pos[rows[inner]], pos[cols[inner]], vals[inner])
+    r = object.__new__(ReducedLdp)  # the support is known: no copy, no rescan
+    _adopt(r, _scatter(idx.size, *support), pbar_g, p.s[idx], support)
+    return r
 
 
 def _desirability_step(r: ReducedLdp):
@@ -196,8 +254,8 @@ def _desirability_step(r: ReducedLdp):
     the solution.
     """
     g = np.exp(-r.s_r)
-    Pt = r.Pbar_r.T
-    return lambda z: (g * (Pt @ z + r.pbar_g), None)
+    rows, cols, vals = r._rows, r._cols, r._vals
+    return lambda z: (g * (_colsums(cols, vals * z[rows], r.n_r) + r.pbar_g), None)
 
 
 def solve_desirability(
@@ -216,22 +274,29 @@ def solve_desirability(
     """
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter_ns()
+    rows, cols, vals = r._rows, r._cols, r._vals
+    n = r.n_r
     deficient = (r.s_r > 0.0) | (r.pbar_g > 0.0)
     if not deficient.all():
-        closed = np.flatnonzero(~_reaches(r.Pbar_r > 0.0, deficient))
+        closed = np.flatnonzero(~_reaches(rows, cols, deficient))
         if closed.size:
             raise SingularSystem(
                 f"rho(G Pbar_r^T) = 1: states {closed.tolist()} never reach the goal"
             )
     g = np.exp(-r.s_r)
-    GP = g[:, None] * r.Pbar_r.T
+    gp = g[cols] * vals  # entry (cols, rows) of G P̄_r^T
+    rhs = g * r.pbar_g
 
     def affine_residual(z: np.ndarray) -> float:
-        return float(np.abs(z - (GP @ z + g * r.pbar_g)).max(initial=0.0))
+        return float(np.abs(z - (_colsums(cols, gp * z[rows], n) + rhs)).max(initial=0.0))
 
+    # I - G P̄_r^T rounded as np.eye(n) - G P̄_r^T rounds it: 0.0 - x off the
+    # diagonal (+0.0 where x underflows) and 1.0 - x on it
+    M = _scatter(n, cols, rows, 0.0 - gp)
+    M.reshape(-1)[:: n + 1] += 1.0
     z = None
     try:
-        cand = np.linalg.solve(np.eye(r.n_r) - GP, g * r.pbar_g)
+        cand = np.linalg.solve(M, rhs)
         residual = affine_residual(cand)
         if residual < cfg.tol:
             z = cand
@@ -243,7 +308,7 @@ def solve_desirability(
         # iterate to stationarity below tol (the engine certifies 10x its tol)
         inner = replace(cfg, tol=cfg.tol / 10.0)
         result = fixed_point_solve(
-            _desirability_step(r), ValueObject.zeros(ConeTag.orthant(r.n_r)), inner
+            _desirability_step(r), ValueObject.zeros(ConeTag.orthant(n)), inner
         )
         z = np.array(result.value.data)
         trace = result.trace
@@ -275,10 +340,10 @@ def optimal_policy(r: ReducedLdp, lam: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"lam must have length {r.n_r}, got {lam.shape}")
     if lam.size and not np.all(np.isfinite(lam)):
         raise InvalidProblem("lam must be finite")
-    z = np.exp(-lam)
-    W = r.Pbar_r * z[:, None]
-    denom = W.sum(axis=0) + r.pbar_g
-    return W / denom[None, :] if r.n_r else W
+    rows, cols = r._rows, r._cols
+    w = r._vals * np.exp(-lam)[rows]
+    denom = _colsums(cols, w, r.n_r) + r.pbar_g
+    return _scatter(r.n_r, rows, cols, w / denom[cols])
 
 
 def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
@@ -292,17 +357,18 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.shape != (r.n_r, r.n_r):
         raise ShapeMismatch(f"P must be {r.n_r} x {r.n_r}, got {P.shape}")
-    if P.size and float(P.min()) < -_STOCHASTIC_TOL:
+    rows, cols, vals = _support(P)
+    if vals.size and float(vals.min()) < -_STOCHASTIC_TOL:
         raise InvalidProblem("P entries must be nonnegative")
-    P = np.maximum(P, 0.0)
-    rows, cols = np.nonzero(P)
-    vals = P[rows, cols]
+    # entries clamped to zero leave the support; a NaN stays, as np.maximum keeps it
+    kept = ~(vals < 0.0)
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
     pbar = r.Pbar_r[rows, cols]
     if np.any(pbar == 0.0):
         raise SupportViolation(
             "P places mass where Pbar_r has none (infinite divergence)"
         )
-    goal_mass = 1.0 - P.sum(axis=0)
+    goal_mass = 1.0 - _colsums(cols, vals, r.n_r)
     if np.any(goal_mass < -_STOCHASTIC_TOL):
         raise InvalidProblem("columns of P must be substochastic")
     off_support_goal = (r.pbar_g == 0.0) & (np.abs(goal_mass) > _STOCHASTIC_TOL)
@@ -313,8 +379,7 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
             "Pbar_r gives that state no goal transition"
         )
 
-    # summed over the support only, each column in ascending row order
-    kl = np.bincount(cols, weights=vals * np.log(vals / pbar), minlength=r.n_r)
+    kl = _colsums(cols, vals * np.log(vals / pbar), r.n_r)
     gm = np.maximum(goal_mass, 0.0)
     safe_goal = np.where(r.pbar_g > 0.0, r.pbar_g, 1.0)
     pi = np.where(gm > 0.0, gm * np.log(np.where(gm > 0.0, gm, 1.0) / safe_goal), 0.0)

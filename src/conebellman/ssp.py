@@ -34,6 +34,7 @@ code over them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -320,12 +321,14 @@ def _edge_error(e: GraphEdge, n_nodes: int, goals: tuple[int, ...]) -> str | Non
         return f"edge target out of range in {tgts}"
     if len(set(tgts)) != len(tgts):
         return f"edge targets must be distinct, got {tgts}"
-    if any(q <= 0 for q in probs):
+    if not all(q > 0 for q in probs):  # NaN is not positive
         return "edge probabilities must be positive"
-    if abs(sum(probs) - 1.0) > 1e-12:
+    if abs(sum(probs) - 1.0) > 1e-12:  # an infinite probability lands here
         return f"edge probabilities must sum to 1, got {sum(probs)!r}"
     if e.cost < 0:
         return f"edge cost must be >= 0, got {e.cost}"
+    if not math.isfinite(e.cost):
+        return f"edge cost must be finite, got {e.cost}"
     return None
 
 
@@ -398,9 +401,9 @@ class GraphSsp:
         # but their edges are already marked
         key = np.sort(tgt_edge * (n + 2) + np.clip(tgt, -1, n) + 1)
         bad[key[1:][key[1:] == key[:-1]] // (n + 2)] = True
-        bad[np.repeat(np.arange(k), n_prob)[prob <= 0]] = True
+        bad[np.repeat(np.arange(k), n_prob)[~(np.isfinite(prob) & (prob > 0))]] = True
         bad |= np.abs(_segment_sums(prob, n_prob) - 1.0) > 1e-12
-        bad |= cost < 0
+        bad |= ~np.isfinite(cost) | (cost < 0)
         if bad.any():
             raise InvalidProblem(_edge_error(edges[int(bad.argmax())], n, goals))
 

@@ -212,6 +212,43 @@ def test_solve_invalid_json_exits_3(tmp_path):
     assert cli.main(["solve", str(bad), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        (dict(LDP_SINGLE, Pbar=[[float("nan"), 0.0], [0.5, 1.0]]), "Pbar entries must be finite"),
+        (dict(LDP_SINGLE, s=[float("inf"), 0.0]), "stage cost s must be finite"),
+        (
+            dict(GRAPH, edges=[{"from": 0, "to": 3, "cost": float("nan")}]),
+            "edge cost must be finite",
+        ),
+    ],
+)
+def test_solve_non_finite_input_exits_3(tmp_path, capsys, problem, message):
+    # json writes NaN and Infinity literals, which the loader reads back
+    prob = write_json(tmp_path, "bad.json", problem)
+    assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem, field",
+    [
+        (dict(GRAPH, edges=[{"from": 0, "to": ["a"], "cost": 1.0}]), "'to' holds 'a'"),
+        (dict(GRAPH, edges=[{"from": "a", "to": 3, "cost": 1.0}]), "'from' holds 'a'"),
+        (dict(GRAPH, edges=[{"from": 0, "to": [3], "cost": 1.0, "prob": ["x"]}]), "'prob' holds"),
+        (dict(GRAPH, edges=[{"from": 0, "to": 3, "cost": [1.0]}]), "'cost' holds [1.0]"),
+        (dict(GRAPH, goal=["a"]), "'goal' holds 'a'"),
+        (dict(GRAPH, goal="3"), "'goal' must be a node id"),
+        (dict(LDP_SINGLE, goals=["a"]), "'goals' holds 'a'"),
+    ],
+)
+def test_solve_non_integer_ids_exit_3_naming_the_field(tmp_path, capsys, problem, field):
+    prob = write_json(tmp_path, "bad.json", problem)
+    assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
 def test_solve_missing_file_exits_3(tmp_path):
     assert cli.main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 3
 

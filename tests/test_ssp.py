@@ -426,6 +426,26 @@ def test_graph_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (GraphEdge(0, (1,), float("nan"), (1.0,)), "edge cost must be finite, got nan"),
+        (GraphEdge(0, (1,), float("inf"), (1.0,)), "edge cost must be finite, got inf"),
+        (GraphEdge(0, (1,), -float("inf"), (1.0,)), "edge cost must be >= 0, got -inf"),
+        (GraphEdge(0, (1,), 1.0, (float("nan"),)), "edge probabilities must be positive"),
+        (GraphEdge(0, (0, 1), 1.0, (float("nan"), 1.0)), "edge probabilities must be positive"),
+        (GraphEdge(0, (0, 1), 1.0, (float("inf"), 0.5)), "edge probabilities must sum to 1, got inf"),
+    ],
+)
+def test_graph_intake_rejects_non_finite_edges(edge, message):
+    # the second, valid edge makes the array masks and the re-check agree on
+    # which edge is first
+    good = GraphEdge(0, (1,), 1.0, (1.0,))
+    with pytest.raises(InvalidProblem) as exc:
+        GraphSsp(n_nodes=2, goals=(1,), edges=(good, edge), s=[0.1, 0.0])
+    assert str(exc.value) == message
+
+
 def test_chain_graph_matches_hand_distances():
     comp = compile_graph(chain_graph())
     sol = solve_ssp(comp.problem)
