@@ -314,7 +314,7 @@ def solve_desirability(
         trace = result.trace
         residual = affine_residual(z)
 
-    if residual >= cfg.tol:
+    if not residual < cfg.tol:  # a NaN residual fails too
         raise CertificationError(
             f"desirability residual {residual:.3e} >= tol {cfg.tol:.3e}"
         )
@@ -360,8 +360,10 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
     rows, cols, vals = _support(P)
     if vals.size and float(vals.min()) < -_STOCHASTIC_TOL:
         raise InvalidProblem("P entries must be nonnegative")
-    # entries clamped to zero leave the support; a NaN stays, as np.maximum keeps it
-    kept = ~(vals < 0.0)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidProblem("P entries must be finite")
+    # entries clamped to zero leave the support
+    kept = vals >= 0.0
     rows, cols, vals = rows[kept], cols[kept], vals[kept]
     pbar = r.Pbar_r[rows, cols]
     if np.any(pbar == 0.0):
@@ -406,7 +408,7 @@ def solve_ldp(p: LdpProblem, cfg: SolveConfig | None = None) -> LdpSolution:
     z, lam, trace = solve_desirability(r, cfg)
     Pstar = optimal_policy(r, lam)
     residual = verify_bellman(r, lam, Pstar)
-    if residual >= 10.0 * cfg.tol:
+    if not residual < 10.0 * cfg.tol:  # a NaN residual fails too
         raise CertificationError(
             f"Bellman residual {residual:.3e} >= {10.0 * cfg.tol:.3e}"
         )

@@ -185,15 +185,15 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
     lam = np.array(result.value.data)
     K = result.minimizer
     min_eig = float(np.linalg.eigvalsh(lam)[0]) if p.n else 0.0
-    if p.n and min_eig <= 0.0:
+    if p.n and not min_eig > 0.0:
         raise CertificationError(
             f"converged value matrix is not positive definite (min eig {min_eig:.3e})"
         )
     rho = _closed_loop_radius(p, K)
-    if rho >= 1.0:
+    if not rho < 1.0:  # a NaN radius fails too
         raise CertificationError(f"closed-loop spectral radius {rho:.6f} >= 1")
     # the engine's certifying sweep ran the Riccati map at exactly this lam
-    if result.residual >= 10.0 * cfg.tol:
+    if not result.residual < 10.0 * cfg.tol:
         raise CertificationError(
             f"Riccati equation residual {result.residual:.3e} >= {10.0 * cfg.tol:.3e}"
         )
@@ -228,7 +228,7 @@ def cost_of_gain(p: LqrProblem, K: np.ndarray, x0: np.ndarray) -> float:
     if x0.shape != (p.n, p.n):
         raise ShapeMismatch(f"x0 must be {p.n} x {p.n}, got {x0.shape}")
     rho = _closed_loop_radius(p, K)
-    if rho >= 1.0:
+    if not rho < 1.0:
         raise UnstableGain(f"spectral radius of A + BK is {rho:.6f} >= 1")
     power = p.A + p.B @ K
     lam = p.Q + K.T @ p.R @ K

@@ -17,11 +17,20 @@ is a single segmented minimum over the stacked reduced costs,
 
 with no per-block Python call; the gain is built once, at the returned value.
 
+A, B and E are kept as their supports: the nonzero entries in column-major
+order, as row ids, column ids and values (the index arrays of a compressed
+sparse column matrix).  ``A^T lam``, ``B^T lam`` and ``E^T g`` are one
+``np.bincount`` each over the column ids, which adds every column in
+ascending row order, so a sweep is O(nnz).  A dense matrix given to
+SspProblem is scanned once for its support; the dense matrices stay
+readable as attributes.
+
 The value is its own stability certificate.  At the fixed point the closed
 loop ``M = A + BK`` is nonnegative and ``lam = s + K^T r + M^T lam`` with
 ``lam > 0``, so lam is a linear Lyapunov function of the positive closed
 loop and the Collatz-Wielandt bound ``max_i (M^T lam)_i / lam_i`` proves
-``rho(M) < 1``; only the columns of M the gain touches are formed.
+``rho(M) < 1``; only the columns of M the gain touches are formed, from
+the supports.
 
 A graph shorthand for ordinary (stochastic) shortest-path instances compiles
 into this matrix form with per-state unit budgets (``E = I``): every node's
@@ -29,7 +38,7 @@ cheapest action becomes the autonomous dynamics and the remaining actions
 become redirections, so the assembled update reproduces classical value
 iteration ``lam_i <- s_i + min_a (cost_a + p_a^T lam)`` exactly.  Intake
 flattens the edges into arrays once; validation and compilation are array
-code over them.
+code over them, and the compiled supports are built with no dense matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +59,7 @@ from .errors import (
     NegativeLambda,
     ShapeMismatch,
 )
+from .ldp import _colsums
 
 _LAMBDA_TOL = 1e-10  # slack when checking lam >= 0 (matches cone membership)
 
@@ -56,7 +67,7 @@ _LAMBDA_TOL = 1e-10  # slack when checking lam >= 0 (matches cone membership)
 def _frozen(a, dtype=float) -> np.ndarray:
     """A read-only copy of a; a read-only array that owns its data is kept.
 
-    compile_graph hands over freshly built read-only matrices: copying them
+    A problem rebuilt from another one's dense matrices shares them: copying
     again costs a page fault per page of the new buffer.
     """
     if (
@@ -71,33 +82,77 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+class _Support(NamedTuple):
+    """Nonzero entries of a matrix in column-major order (by column, then row)."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _scan(M: np.ndarray) -> _Support:
+    """The support of the dense 2-D M; NaN and infinite entries are in it."""
+    cols, rows = np.nonzero(M.T)
+    return _Support(M.shape, rows, cols, M[rows, cols])
+
+
+def _coalesced(shape, rows, cols, vals) -> _Support:
+    """The support of the matrix whose entries at (rows, cols) add up to vals.
+
+    Entries at one position are added in the order given, so q followed by
+    -p sums to q - p, as a dense scatter of q followed by subtracting p
+    rounds it; a sum that cancels to zero is dropped, as a scan of that
+    dense matrix would drop it.
+    """
+    key = cols * shape[0] + rows
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    first = first.nonzero()[0]
+    sums = np.add.reduceat(vals[order], first) if key.size else vals
+    kept = sums != 0.0
+    cols, rows = np.divmod(key[first[kept]], shape[0])
+    return _Support(shape, rows, cols, sums[kept])
+
+
+def _tdot(S: _Support, x: np.ndarray) -> np.ndarray:
+    """M^T x, each column's entries added in ascending row order."""
+    return _colsums(S.cols, S.vals * x[S.rows], S.shape[1])
+
+
+def _column_entries(S: _Support, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in S of every entry of the given columns, column by column,
+    and how many entries each column has."""
+    lo = np.searchsorted(S.cols, cols, "left")
+    counts = np.searchsorted(S.cols, cols, "right") - lo
+    starts = np.cumsum(counts) - counts
+    return np.repeat(lo - starts, counts) + np.arange(counts.sum()), counts
+
+
 class SspProblem:
     """Matrices and costs of one shortest-path control instance.
 
     A is n x n nonnegative, B is n x m, s > 0 (length n), r >= 0 (length m),
     block_sizes partitions the m inputs by state (zero-size blocks allowed),
     and E is the n x n nonnegative budget matrix: actions of block i may
-    spend at most E_ij of state j's mass.
+    spend at most E_ij of state j's mass.  Every entry must be finite.
+
+    A, B and E are kept as their supports, which is all the solver reads: a
+    dense matrix given here is scanned once, and compile_graph passes
+    supports.  The attributes A, B and E are read-only dense arrays with
+    the same values, the ones given or, from a support, scattered on first
+    access.  Instances are immutable.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    s: np.ndarray
-    r: np.ndarray
-    block_sizes: tuple[int, ...]
-    E: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        s = np.asarray(self.s, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        E = np.asarray(self.E, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    def __init__(self, A, B, s, r, block_sizes, E):
+        A, B, E = (M if isinstance(M, _Support) else _frozen(M) for M in (A, B, E))
+        s, r = _frozen(s), _frozen(r)
+        if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
             raise ShapeMismatch(f"A must be square, got {A.shape}")
         n = A.shape[0]
-        if B.ndim != 2 or B.shape[0] != n:
+        if len(B.shape) != 2 or B.shape[0] != n:
             raise ShapeMismatch(f"B must be n x m with n={n}, got {B.shape}")
         m = B.shape[1]
         if s.shape != (n,):
@@ -106,48 +161,69 @@ class SspProblem:
             raise ShapeMismatch(f"r must have length {m}, got {r.shape}")
         if E.shape != (n, n):
             raise ShapeMismatch(f"E must be {n} x {n}, got {E.shape}")
-        blocks = tuple(int(b) for b in self.block_sizes)
+        blocks = tuple(map(int, block_sizes))
         if len(blocks) != n:
             raise ShapeMismatch(
                 f"block_sizes must have one entry per state ({n}), got {len(blocks)}"
             )
-        if any(b < 0 for b in blocks) or sum(blocks) != m:
+        if min(blocks, default=0) < 0 or sum(blocks) != m:
             raise InvalidProblem(
                 f"block_sizes must be nonnegative and sum to m={m}, got {blocks}"
             )
-        if np.any(A < 0):
+        dense = {k: M for k, M in zip("ABE", (A, B, E)) if not isinstance(M, _Support)}
+        A, B, E = (M if isinstance(M, _Support) else _scan(M) for M in (A, B, E))
+        if (A.vals < 0).any():
             raise InvalidProblem("A must be elementwise nonnegative")
-        if np.any(s <= 0):
+        if (s <= 0).any():
             raise InvalidProblem("state cost s must be strictly positive")
-        if np.any(r < 0):
+        if (r < 0).any():
             raise InvalidProblem("input cost r must be nonnegative")
-        if np.any(E < 0):
+        if (E.vals < 0).any():
             raise InvalidProblem("budget matrix E must be nonnegative")
-        object.__setattr__(self, "A", _frozen(A))
-        object.__setattr__(self, "B", _frozen(B))
-        object.__setattr__(self, "s", _frozen(s))
-        object.__setattr__(self, "r", _frozen(r))
-        object.__setattr__(self, "E", _frozen(E))
-        object.__setattr__(self, "block_sizes", blocks)
+        values = {"A": A.vals, "B": B.vals, "s": s, "r": r, "E": E.vals}
+        if not np.isfinite(np.concatenate(tuple(values.values()))).all():
+            name = next(k for k, v in values.items() if not np.isfinite(v).all())
+            raise InvalidProblem(f"{name} must be finite")
+        for a in (*A[1:], *B[1:], *E[1:]):
+            a.setflags(write=False)
+        sizes = np.asarray(blocks, dtype=int)
         offsets = np.zeros(n + 1, dtype=int)
-        np.cumsum(blocks, out=offsets[1:])
-        object.__setattr__(self, "_offsets", _frozen(offsets, dtype=int))
+        np.cumsum(sizes, out=offsets[1:])
         # gain rows as segments, one per non-empty block: its state, first
         # row and size.  Empty blocks are left out because their repeated
         # offsets would make np.minimum.reduceat return a neighbour's entry.
-        sizes = np.asarray(blocks, dtype=int)
         nonempty = np.flatnonzero(sizes > 0)
-        object.__setattr__(self, "_nonempty", _frozen(nonempty, dtype=int))
-        object.__setattr__(self, "_starts", _frozen(offsets[nonempty], dtype=int))
-        object.__setattr__(self, "_sizes", _frozen(sizes[nonempty], dtype=int))
+        fields = {
+            **dense, "_A": A, "_B": B, "_E": E, "s": s, "r": r, "block_sizes": blocks,
+            "_offsets": _frozen(offsets, dtype=int),
+            "_nonempty": _frozen(nonempty, dtype=int),
+            "_starts": _frozen(offsets[nonempty], dtype=int),
+            "_sizes": _frozen(sizes[nonempty], dtype=int),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SspProblem is immutable; cannot set {name!r}")
+
+    def __getattr__(self, name):
+        # only reached for A, B or E not yet built: scatter it from its support
+        if name not in ("A", "B", "E"):
+            raise AttributeError(name)
+        S = self.__dict__["_" + name]
+        M = np.zeros(S.shape)
+        M[S.rows, S.cols] = S.vals
+        M.setflags(write=False)
+        object.__setattr__(self, name, M)
+        return M
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self._A.shape[0]
 
     @property
     def m(self) -> int:
-        return self.B.shape[1]
+        return self._B.shape[1]
 
     def block_slice(self, i: int) -> slice:
         return slice(int(self._offsets[i]), int(self._offsets[i + 1]))
@@ -182,34 +258,56 @@ def validate_gain(p: SspProblem, K: np.ndarray) -> bool:
     for k in range(1, int(p._sizes.max(initial=0))):
         longer = p._sizes > k
         budget_use[longer] += K[p._starts[longer] + k]
-    return bool(np.all(p.E[p._nonempty] - budget_use >= 0))
+    # E - CK on the non-empty blocks, adding E's support onto -CK
+    slack = -budget_use
+    block = np.full(p.n, -1)
+    block[p._nonempty] = np.arange(p._nonempty.size)
+    at = block[p._E.rows]
+    on = at >= 0
+    slack[at[on], p._E.cols[on]] += p._E.vals[on]
+    return bool(np.all(slack >= 0))
 
 
 def _sweep(p: SspProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Bellman sweep: (s + A^T lam + E^T g, reduced costs c at lam)."""
     if lam.size and float(lam.min()) < -_LAMBDA_TOL:
         raise NegativeLambda("value iterate has negative entries")
-    c = p.r + p.B.T @ lam
+    c = p.r + _tdot(p._B, lam)
     g = np.zeros(p.n)
     if c.size:
         g[p._nonempty] = np.minimum(np.minimum.reduceat(c, p._starts), 0.0)
-    return p.s + p.A.T @ lam + p.E.T @ g, c
+    return p.s + _tdot(p._A, lam) + _tdot(p._E, g), c
 
 
-def _gain(p: SspProblem, c: np.ndarray) -> np.ndarray:
-    """Stacked vertex minimizers for the reduced costs c.
+def _policy(p: SspProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex minimizers for the reduced costs c, as (rows, states).
 
-    Block i's row at the lowest index attaining its minimum carries the
+    Block i's gain row at the lowest index attaining its minimum carries the
     budget row E_i when that minimum is negative; every other row is zero.
+    Those rows and their blocks' states are returned, in block order.
     """
-    K = np.zeros((p.m, p.n))
     if not c.size:
-        return K
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     cmin = np.minimum.reduceat(c, p._starts)
     attains = c == np.repeat(cmin, p._sizes)
     jmin = np.minimum.reduceat(np.where(attains, np.arange(p.m), p.m), p._starts)
     negative = cmin < 0.0
-    K[jmin[negative]] = p.E[p._nonempty[negative]]
+    return jmin[negative], p._nonempty[negative]
+
+
+def _gain_rows(p: SspProblem, rows: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Gain row of each budget entry of E (-1 where its state's block spends none)."""
+    row_of_state = np.full(p.n, -1)
+    row_of_state[states] = rows
+    return row_of_state[p._E.rows]
+
+
+def _gain(p: SspProblem, rows: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The dense m x n gain whose row rows[b] is E's row states[b]."""
+    K = np.zeros((p.m, p.n))
+    gain_row = _gain_rows(p, rows, states)
+    on = gain_row >= 0
+    K[gain_row[on], p._E.cols[on]] = p._E.vals[on]
     return K
 
 
@@ -226,33 +324,50 @@ def bellman_update(p: SspProblem, lam) -> tuple[np.ndarray, np.ndarray]:
     if lam.shape != (p.n,):
         raise ShapeMismatch(f"lam must have length {p.n}, got {lam.shape}")
     lam_next, c = _sweep(p, lam)
-    return lam_next, _gain(p, c)
+    return lam_next, _gain(p, *_policy(p, c))
 
 
-def _certify(p: SspProblem, lam: np.ndarray, K: np.ndarray) -> float:
+def _certify(p: SspProblem, lam: np.ndarray, rows: np.ndarray, states: np.ndarray) -> float:
     """Prove rho(A + BK) < 1 with lam as a linear Lyapunov function.
 
+    K is given as _policy returns it: row rows[b] is E's row states[b] and
+    every other row is zero.  With each row inside its own state's block
+    and one row per block, every block spends exactly its budget row or
+    nothing, so K lies in the constraint polytope (E >= 0 from intake).
+
     For lam > 0, Collatz-Wielandt gives rho(M) <= rho(|M|) <= max_i
-    (|M|^T lam)_i / lam_i, and that bound is returned.  Only the columns the
-    gain touches differ from A (K has at most one nonzero row per block), so
-    only those columns of M are formed; the rest contribute A^T lam.
+    (|M|^T lam)_i / lam_i, and that bound is returned.  Only the columns l
+    with some E_il > 0 on a chosen row differ from A; their entries
+    A_kl + B_kj E_il are coalesced from the supports, and the rest of the
+    weights are A^T lam.  Every test fails closed on NaN.
     """
-    if not validate_gain(p, K):
+    in_block = (p._offsets[states] <= rows) & (rows < p._offsets[states + 1])
+    if not (np.all(in_block) and np.all(np.diff(states) > 0)):
         raise CertificationError("returned gain violates the constraint polytope")
-    if lam.size and float(lam.min()) <= 0.0:
+    if lam.size and not float(lam.min()) > 0.0:
         raise CertificationError("converged value vector is not strictly positive")
-    rows = np.flatnonzero(K.any(axis=1))
-    cols = np.flatnonzero(K[rows].any(axis=0))
-    closed = p.A[:, cols] + p.B[:, rows] @ K[np.ix_(rows, cols)]
-    if np.any(closed < -_LAMBDA_TOL):
+    A, B, E, n = p._A, p._B, p._E, p.n
+    gain_row = _gain_rows(p, rows, states)
+    on = (gain_row >= 0).nonzero()[0]  # the budget entries K carries
+    touched = np.zeros(n, dtype=bool)
+    touched[E.cols[on]] = True
+    a = touched[A.cols].nonzero()[0]
+    b, counts = _column_entries(B, gain_row[on])
+    M = _coalesced(  # the touched columns of A + BK
+        (n, n),
+        np.concatenate((A.rows[a], B.rows[b])),
+        np.concatenate((A.cols[a], np.repeat(E.cols[on], counts))),
+        np.concatenate((A.vals[a], B.vals[b] * np.repeat(E.vals[on], counts))),
+    )
+    if (M.vals < -_LAMBDA_TOL).any():
         raise CertificationError(
             "closed loop A + BK has negative entries at the optimum; "
             "the budget matrix E does not preserve the orthant"
         )
-    weight = p.A.T @ lam
-    weight[cols] = np.abs(closed).T @ lam
+    weight = _tdot(A, lam)
+    weight[touched] = _colsums(M.cols, np.abs(M.vals) * lam[M.rows], n)[touched]
     rho = float((weight / lam).max(initial=0.0))
-    if rho >= 1.0:
+    if not rho < 1.0:
         raise CertificationError(f"closed-loop spectral radius bound {rho:.6f} >= 1")
     return rho
 
@@ -282,11 +397,11 @@ def solve_ssp(p: SspProblem, cfg: SolveConfig | None = None) -> SspSolution:
             "the budget matrix E does not preserve the orthant"
         ) from exc
     lam = np.array(result.value.data)
-    K = _gain(p, result.minimizer)
-    rho = _certify(p, lam, K)
+    rows, states = _policy(p, result.minimizer)
+    rho = _certify(p, lam, rows, states)
     return SspSolution(
         lam=lam,
-        K=K,
+        K=_gain(p, rows, states),
         trace=result.trace,
         stationarity=result.residual,
         rho_closed_loop=rho,
@@ -297,9 +412,11 @@ def solve_ssp(p: SspProblem, cfg: SolveConfig | None = None) -> SspSolution:
 # Graph shorthand
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphEdge:
-    """One action: from `source`, pay `cost`, land on `targets` with `probs`."""
+class GraphEdge(NamedTuple):
+    """One action: from `source`, pay `cost`, land on `targets` with `probs`.
+
+    A named tuple: it compares equal to a plain tuple of the same fields.
+    """
 
     source: int
     targets: tuple[int, ...]
@@ -412,6 +529,8 @@ class GraphSsp:
             raise ShapeMismatch(f"s must have length {n}, got {s.shape}")
         if np.any(s < 0):
             raise InvalidProblem("node costs must be nonnegative")
+        if not np.all(np.isfinite(s)):
+            raise InvalidProblem("node costs must be finite")
         ptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(n_tgt, out=ptr[1:])
         object.__setattr__(self, "goals", goals)
@@ -450,10 +569,11 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     edges keeps its mass (self-loop baseline), so an instance whose goal is
     unreachable diverges at solve time instead of failing intake.
 
-    Everything is scattered from intake's flat edge arrays: column j of B
-    takes edge j's own probabilities to non-goal targets, then subtracts its
-    baseline's, so each entry is ``q - p``, ``q``, ``-p`` or zero exactly as
-    in the dense difference of the two columns.
+    The supports are built from intake's flat edge arrays with no dense
+    matrix: column j of B takes edge j's own probabilities to non-goal
+    targets, then its baseline's subtracted, so each entry is ``q - p``,
+    ``q``, ``-p`` or zero, with the bits of the dense difference of the two
+    columns, and zeros left out.
     """
     nongoal_mask = np.ones(g.n_nodes, dtype=bool)
     nongoal_mask[list(g.goals)] = False
@@ -477,7 +597,7 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     # lexsort is stable: within a node, the cheapest edge with the lowest index
     base = np.lexsort((cost, src))[offsets[has]]
 
-    entry_edge = np.repeat(np.arange(k), np.diff(g._ptr))
+    entry_edge = np.repeat(np.arange(k), g._ptr[1:] - g._ptr[:-1])
     kept = nongoal_mask[tgt]  # mass to a goal leaves the system
     is_base = np.zeros(k, dtype=bool)
     is_base[base] = True
@@ -485,25 +605,29 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     base_row = state[tgt[on_base]]
     base_block = state[src[entry_edge[on_base]]]
 
-    A = np.zeros((n, n))
-    A[base_row, base_block] = prob[on_base]
+    # stuck mass keeps a unit self-loop: divergence will report unreachability
     stuck = np.flatnonzero(sizes == 0)
-    A[stuck, stuck] = 1.0  # stuck mass: divergence will report unreachability
+    A = _coalesced(
+        (n, n),
+        np.concatenate((base_row, stuck)),
+        np.concatenate((base_block, stuck)),
+        np.concatenate((prob[on_base], np.ones(stuck.size))),
+    )
     s = g.s[nongoal]
     s[has] += cost[base]
 
-    B = np.zeros((n, k))
-    B[state[tgt[kept]], row_of_edge[entry_edge[kept]]] = prob[kept]
     # each baseline entry is subtracted from every row of its block
     reps = sizes[base_block]
     first = np.repeat(offsets[base_block] - (np.cumsum(reps) - reps), reps)
-    B[np.repeat(base_row, reps), first + np.arange(reps.sum())] -= np.repeat(
-        prob[on_base], reps
+    B = _coalesced(
+        (n, k),
+        np.concatenate((state[tgt[kept]], np.repeat(base_row, reps))),
+        np.concatenate((row_of_edge[entry_edge[kept]], first + np.arange(reps.sum()))),
+        np.concatenate((prob[kept], -np.repeat(prob[on_base], reps))),
     )
     r = cost[rows] - np.repeat(cost[base], sizes[has])
-    E = np.eye(n)
-    for a in (A, B, s, r, E):
-        a.setflags(write=False)  # fresh and read-only: SspProblem keeps them
+    diagonal = np.arange(n)
+    E = _Support((n, n), diagonal, diagonal, np.ones(n))
     problem = SspProblem(A=A, B=B, s=s, r=r, block_sizes=tuple(sizes.tolist()), E=E)
     return CompiledGraph(
         problem=problem,

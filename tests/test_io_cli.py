@@ -221,6 +221,12 @@ def test_solve_invalid_json_exits_3(tmp_path):
             dict(GRAPH, edges=[{"from": 0, "to": 3, "cost": float("nan")}]),
             "edge cost must be finite",
         ),
+        (dict(SSP_RAW, A=[[float("nan")]]), "A must be finite"),
+        (dict(SSP_RAW, B=[[float("-inf")]]), "B must be finite"),
+        (dict(SSP_RAW, s=[float("nan")]), "s must be finite"),
+        (dict(SSP_RAW, r=[float("inf")]), "r must be finite"),
+        (dict(SSP_RAW, E=[[float("nan")]]), "E must be finite"),
+        (dict(GRAPH, s=[0.1, float("nan"), 0.1, 0.0]), "node costs must be finite"),
     ],
 )
 def test_solve_non_finite_input_exits_3(tmp_path, capsys, problem, message):

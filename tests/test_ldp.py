@@ -395,6 +395,24 @@ def test_bellman_residual_small_at_solution():
     assert verify_bellman(r, sol.lam, sol.Pstar) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_stage_cost_rejects_non_finite_policy_entries(bad):
+    # one non-finite entry of P* made the Bellman defect NaN
+    r = reduce(random_ldp(10, seed=3))
+    P = optimal_policy(r, solve_ldp(random_ldp(10, seed=3)).lam)
+    P[tuple(np.argwhere(P > 0.0)[0])] = bad
+    with pytest.raises(InvalidProblem, match="P entries must be finite"):
+        kl_stage_cost(r, P)
+    with pytest.raises(InvalidProblem, match="P entries must be finite"):
+        verify_bellman(r, np.zeros(r.n_r), P)
+
+
+def test_nan_bellman_residual_fails_certification(monkeypatch):
+    monkeypatch.setattr(ldp, "verify_bellman", lambda r, lam, Pstar: float("nan"))
+    with pytest.raises(CertificationError, match="Bellman residual nan"):
+        solve_ldp(single_state_problem())
+
+
 def test_bellman_residual_large_off_solution():
     r = reduce(single_state_problem())
     sol = solve_ldp(single_state_problem())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conebellman import (
+    CertificationError,
     InvalidProblem,
     LqrProblem,
     NotPositiveDefinite,
@@ -19,6 +20,7 @@ from conebellman import (
     solve_lqr,
     spectral_radius,
 )
+from conebellman import lqr
 from conebellman.generators import random_lqr
 from conebellman.oracles import naive_dare
 
@@ -305,3 +307,28 @@ def test_value_iterates_are_loewner_monotone(seed):
         lam_next, _ = riccati_step(p, lam)
         assert float(np.min(np.linalg.eigvalsh(lam_next - lam))) > -1e-10
         lam = lam_next
+
+
+# ---------------------------------------------------------------------------
+# certificates fail closed
+
+
+def test_nan_closed_loop_radius_fails_certification(monkeypatch):
+    monkeypatch.setattr(lqr, "_closed_loop_radius", lambda p, K: float("nan"))
+    with pytest.raises(CertificationError, match="spectral radius nan >= 1"):
+        solve_lqr(scalar_problem())
+    with pytest.raises(UnstableGain, match="nan >= 1"):
+        cost_of_gain(scalar_problem(), np.array([[-0.5]]), np.array([[1.0]]))
+
+
+def test_nan_riccati_residual_fails_certification(monkeypatch):
+    real = lqr.fixed_point_solve
+
+    def nan_residual(*args):
+        result = real(*args)
+        result.residual = float("nan")
+        return result
+
+    monkeypatch.setattr(lqr, "fixed_point_solve", nan_residual)
+    with pytest.raises(CertificationError, match="residual nan"):
+        solve_lqr(scalar_problem())

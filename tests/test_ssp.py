@@ -1,6 +1,8 @@
 """Stochastic shortest path: Bellman update, gain feasibility, graph frontend."""
 
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conebellman import (
     CertificationError,
+    ConeTag,
     GraphEdge,
     GraphSsp,
     InvalidProblem,
@@ -17,9 +20,11 @@ from conebellman import (
     ShapeMismatch,
     SolveConfig,
     SspProblem,
+    ValueObject,
     bellman_update,
     closed_loop_successors,
     compile_graph,
+    fixed_point_solve,
     solve_ssp,
     spectral_radius,
     validate_gain,
@@ -240,7 +245,7 @@ def test_certificate_rejects_a_bound_of_one():
         A=[[1.0]], B=np.zeros((1, 0)), s=[1.0], r=[], block_sizes=(0,), E=[[1.0]]
     )
     with pytest.raises(CertificationError, match="bound 1.000000 >= 1"):
-        ssp._certify(p, np.array([1.0]), np.zeros((0, 1)))
+        ssp._certify(p, np.array([1.0]), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
 
 def test_ssp_never_estimates_a_spectral_radius(monkeypatch):
@@ -741,3 +746,403 @@ def test_compiled_matrices_are_kept_without_a_copy():
     # a caller's writeable array is still copied and frozen
     A = np.array(p.A)
     assert SspProblem(A=A, B=p.B, s=p.s, r=p.r, block_sizes=p.block_sizes, E=p.E).A is not A
+
+
+# ---------------------------------------------------------------------------
+# support arrays against the dense solver and compiler they replaced
+
+
+def _dense_problem(A, B, s, r, block_sizes, E):
+    """Dense matrices and block segments, read without the problem's supports."""
+    sizes = np.asarray(block_sizes, dtype=int)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    nonempty = np.flatnonzero(sizes > 0)
+    A, B, E = (np.array(M, dtype=float) for M in (A, B, E))
+    return SimpleNamespace(
+        A=A, B=B, s=np.array(s, dtype=float), r=np.array(r, dtype=float), E=E,
+        n=A.shape[0], m=B.shape[1],
+        starts=offsets[nonempty], sizes=sizes[nonempty], nonempty=nonempty,
+    )
+
+
+def _dense_validate_gain(d, K):
+    if np.any(K < 0):
+        return False
+    budget_use = K[d.starts]
+    for k in range(1, int(d.sizes.max(initial=0))):
+        longer = d.sizes > k
+        budget_use[longer] += K[d.starts[longer] + k]
+    return bool(np.all(d.E[d.nonempty] - budget_use >= 0))
+
+
+def _dense_sweep(d, lam):
+    if lam.size and float(lam.min()) < -1e-10:
+        raise NegativeLambda("value iterate has negative entries")
+    c = d.r + d.B.T @ lam
+    g = np.zeros(d.n)
+    if c.size:
+        g[d.nonempty] = np.minimum(np.minimum.reduceat(c, d.starts), 0.0)
+    return d.s + d.A.T @ lam + d.E.T @ g, c
+
+
+def _dense_gain(d, c):
+    K = np.zeros((d.m, d.n))
+    if not c.size:
+        return K
+    cmin = np.minimum.reduceat(c, d.starts)
+    attains = c == np.repeat(cmin, d.sizes)
+    jmin = np.minimum.reduceat(np.where(attains, np.arange(d.m), d.m), d.starts)
+    negative = cmin < 0.0
+    K[jmin[negative]] = d.E[d.nonempty[negative]]
+    return K
+
+
+def _dense_certify(d, lam, K):
+    if not _dense_validate_gain(d, K):
+        raise CertificationError("returned gain violates the constraint polytope")
+    if lam.size and float(lam.min()) <= 0.0:
+        raise CertificationError("converged value vector is not strictly positive")
+    rows = np.flatnonzero(K.any(axis=1))
+    cols = np.flatnonzero(K[rows].any(axis=0))
+    closed = d.A[:, cols] + d.B[:, rows] @ K[np.ix_(rows, cols)]
+    if np.any(closed < -1e-10):
+        raise CertificationError(
+            "closed loop A + BK has negative entries at the optimum; "
+            "the budget matrix E does not preserve the orthant"
+        )
+    weight = d.A.T @ lam
+    weight[cols] = np.abs(closed).T @ lam
+    rho = float((weight / lam).max(initial=0.0))
+    if rho >= 1.0:
+        raise CertificationError(f"closed-loop spectral radius bound {rho:.6f} >= 1")
+    return rho
+
+
+def _dense_solve(d, cfg):
+    """(lam, K, sweeps, rho) of the dense solver."""
+    try:
+        result = fixed_point_solve(
+            lambda lam: _dense_sweep(d, lam), ValueObject.zeros(ConeTag.orthant(d.n)), cfg
+        )
+    except NegativeLambda as exc:
+        raise CertificationError(
+            "value iterate has negative entries; "
+            "the budget matrix E does not preserve the orthant"
+        ) from exc
+    lam = np.array(result.value.data)
+    K = _dense_gain(d, result.minimizer)
+    return lam, K, len(result.trace), _dense_certify(d, lam, K)
+
+
+def _dense_compile_graph(g):
+    """The dense compiler: (A, B, s, r, block_sizes, E) scattered from the edge arrays."""
+    nongoal_mask = np.ones(g.n_nodes, dtype=bool)
+    nongoal_mask[list(g.goals)] = False
+    nongoal = np.flatnonzero(nongoal_mask)
+    if np.any(g.s[nongoal] <= 0):
+        raise InvalidProblem("node cost s must be > 0 on non-goal nodes")
+    n = nongoal.size
+    if n == 0:
+        raise InvalidProblem("graph has no non-goal nodes; nothing to solve")
+    state = np.cumsum(nongoal_mask) - 1
+    src, cost, tgt, prob = g._src, g._cost, g._tgt, g._prob
+    k = src.size
+    rows = np.argsort(src, kind="stable")
+    row_of_edge = np.empty(k, dtype=np.int64)
+    row_of_edge[rows] = np.arange(k)
+    sizes = np.bincount(state[src], minlength=n)
+    offsets = np.cumsum(sizes) - sizes
+    has = np.flatnonzero(sizes)
+    base = np.lexsort((cost, src))[offsets[has]]
+    entry_edge = np.repeat(np.arange(k), np.diff(g._ptr))
+    kept = nongoal_mask[tgt]
+    is_base = np.zeros(k, dtype=bool)
+    is_base[base] = True
+    on_base = kept & is_base[entry_edge]
+    base_row = state[tgt[on_base]]
+    base_block = state[src[entry_edge[on_base]]]
+    A = np.zeros((n, n))
+    A[base_row, base_block] = prob[on_base]
+    stuck = np.flatnonzero(sizes == 0)
+    A[stuck, stuck] = 1.0
+    s = g.s[nongoal]
+    s[has] += cost[base]
+    B = np.zeros((n, k))
+    B[state[tgt[kept]], row_of_edge[entry_edge[kept]]] = prob[kept]
+    reps = sizes[base_block]
+    first = np.repeat(offsets[base_block] - (np.cumsum(reps) - reps), reps)
+    B[np.repeat(base_row, reps), first + np.arange(reps.sum())] -= np.repeat(
+        prob[on_base], reps
+    )
+    r = cost[rows] - np.repeat(cost[base], sizes[has])
+    return A, B, s, r, tuple(sizes.tolist()), np.eye(n)
+
+
+def _is_error(outcome):
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
+def _lowest_identical_rows(d, K):
+    """K with each nonzero row moved to the lowest row of its block that has
+    the same B column and input cost.
+
+    Such rows tie exactly, but the dense matvec can round identical columns
+    differently (its kernel treats columns by position), so the dense
+    solver did not always pick the lowest of them.
+    """
+    K = K.copy()
+    for j in np.flatnonzero(K.any(axis=1)):
+        start = d.starts[np.searchsorted(d.starts, j, side="right") - 1]
+        for j0 in range(start, j):
+            if np.array_equal(d.B[:, j0], d.B[:, j]) and d.r[j0] == d.r[j]:
+                K[j0], K[j] = K[j], 0.0
+                break
+    return K
+
+
+def _assert_solves_like_the_dense_reference(p, d, cfg):
+    want = _outcome(_dense_solve, d, cfg)
+    got = _outcome(solve_ssp, p, cfg)
+    if _is_error(want):
+        assert got == want  # same exception class and message
+        return
+    lam, K, sweeps, rho = want
+    assert isinstance(got, ssp.SspSolution), got
+    assert np.array_equal(got.K, _lowest_identical_rows(d, K))
+    assert len(got.trace) == sweeps
+    np.testing.assert_allclose(got.lam, lam, rtol=1e-14, atol=0.0)
+    assert abs(got.rho_closed_loop - rho) <= 1e-12
+
+
+def _assert_sweeps_like_the_dense_reference(p, d, lam):
+    want = _outcome(lambda: (lambda nxt, c: (nxt, _dense_gain(d, c)))(*_dense_sweep(d, lam)))
+    got = _outcome(bellman_update, p, lam)
+    if _is_error(want):
+        assert got == want
+        return
+    scale = float(np.abs(want[0]).max(initial=0.0))
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-14, atol=1e-14 * scale)
+    assert np.array_equal(got[1], _lowest_identical_rows(d, want[1]))
+
+
+@st.composite
+def raw_problems(draw):
+    """Small SspProblems with empty blocks, ties, -0.0 entries and non-diagonal E.
+
+    Block sizes are drawn per state, so empty first, middle and last blocks
+    all occur.  A gain row of state i redirects at most the mass A puts in
+    column i, so most closed loops stay nonnegative; a B column is one
+    entry, a random column, or a copy of its predecessor with the same
+    input cost, and copies tie exactly.
+    """
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    A = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, -0.0, 0.125, 0.25]),
+                               min_size=n * n, max_size=n * n))).reshape(n, n)
+    columns, r = [], []
+    for i, size in enumerate(sizes):
+        for _ in range(size):
+            kind = draw(st.sampled_from(["one", "one", "column", "copy"]))
+            if kind == "copy" and columns:
+                columns.append(columns[-1])
+                r.append(r[-1])
+                continue
+            col = np.zeros(n)
+            if kind == "column":
+                keep = draw(st.floats(0.0, 1.0))
+                col = np.array(draw(st.lists(st.floats(0.0, 0.2), min_size=n, max_size=n)))
+                col -= keep * A[:, i]
+            else:
+                k = draw(st.integers(0, n - 1))
+                col[k] = draw(st.sampled_from([-1.0, -0.5, 0.5])) * A[k, i] or draw(
+                    st.sampled_from([-0.0, 0.125])
+                )
+            columns.append(col)
+            r.append(draw(st.sampled_from([0.0, -0.0, 0.125, 0.25])))
+    B = np.stack(columns, axis=1) if columns else np.zeros((n, 0))
+    E = np.eye(n)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        E[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([0.0, -0.0, 0.25, 0.5])
+        )
+    s = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    return A, B, s, np.array(r), tuple(sizes), E
+
+
+@st.composite
+def solvable_graphs(draw):
+    """Graphs whose non-goal nodes all have a forward edge, with cost ties.
+
+    Backward edges make cycles; an edge repeated at another cost cancels
+    against its node's baseline (q - q = 0); one graph in ten has a stuck
+    node, which never converges.
+    """
+    n = draw(st.integers(2, 8))
+    goal = n - 1
+    stuck = draw(st.sampled_from([None] * 9 + [0]))
+    edges = []
+    for x in range(goal):
+        if x == stuck:
+            continue
+        for a in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(1, min(3, n - 1)))
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+            if a == 0 and max(targets) <= x:
+                targets[0] = draw(st.integers(x + 1, goal))
+                targets = list(dict.fromkeys(targets))
+            probs = _closing_simplex(draw(st.lists(st.integers(1, 4), min_size=len(targets),
+                                                   max_size=len(targets))))
+            for cost in draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1,
+                                      max_size=2)):
+                edges.append(GraphEdge(x, tuple(targets), cost, probs))
+    edges = draw(st.permutations(edges))
+    s = [draw(st.sampled_from([0.05, 0.1, 0.25])) for _ in range(goal)] + [0.0]
+    return GraphSsp(n_nodes=n, goals=(goal,), edges=tuple(edges), s=s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_problems(), st.integers(0, 2**32 - 1))
+@example(
+    (ragged_blocks_problem().A, ragged_blocks_problem().B, ragged_blocks_problem().s,
+     ragged_blocks_problem().r, (0, 3, 0, 1, 0), ragged_blocks_problem().E),
+    0,
+)
+@example(
+    (orthant_leaving_problem().A, orthant_leaving_problem().B, [1.0, 1.0], [0.0], (1, 0),
+     orthant_leaving_problem().E),
+    0,
+)
+def test_problems_solve_like_the_dense_reference(raw, seed):
+    p = SspProblem(*raw)
+    d = _dense_problem(*raw)
+    for name in ("A", "B", "E"):
+        assert getattr(p, name).tobytes() == getattr(d, name).tobytes()
+    _assert_solves_like_the_dense_reference(p, d, SolveConfig(max_iter=2_000))
+    rng = np.random.default_rng(seed)
+    _assert_sweeps_like_the_dense_reference(p, d, rng.uniform(0.0, 4.0, p.n))
+    K = np.where(rng.random((p.m, p.n)) < 0.3, rng.choice([-0.25, 0.25, 0.5, 1.0], (p.m, p.n)), 0.0)
+    assert validate_gain(p, K) == _dense_validate_gain(d, K)
+    K[K < 0] = 0.0
+    assert validate_gain(p, K) == _dense_validate_gain(d, K)
+
+
+def identical_actions_graph():
+    """Node 1's last two edges are the same action, and both are its best."""
+    third = 1.0 / 3.0
+    return GraphSsp(
+        n_nodes=3,
+        goals=(2,),
+        edges=(
+            GraphEdge(0, (1,), 0.0, (1.0,)),
+            GraphEdge(1, (2, 1), 0.0, (0.5, 0.5)),
+            GraphEdge(1, (0,), 0.0, (1.0,)),
+            GraphEdge(1, (0, 2), 0.0, (third, 1.0 - third)),
+            GraphEdge(1, (0, 2), 0.0, (third, 1.0 - third)),
+        ),
+        s=[0.05, 0.05, 0.0],
+    )
+
+
+def test_identical_actions_tie_to_the_lowest_row():
+    # the dense B^T lam rounded the two identical columns apart and chose
+    # row 4; summing every column in row order keeps them equal
+    sol = solve_ssp(compile_graph(identical_actions_graph()).problem)
+    assert np.array_equal(np.flatnonzero(sol.K.any(axis=1)), [3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(solvable_graphs())
+@example(identical_actions_graph())
+def test_graphs_compile_and_solve_like_the_dense_reference(g):
+    want = _outcome(_dense_compile_graph, g)
+    comp = _outcome(compile_graph, g)
+    if _is_error(want):
+        assert comp == want
+        return
+    p = comp.problem
+    for name, M in zip(("A", "B", "s", "r", "block_sizes", "E"), want):
+        got = getattr(p, name)
+        if name == "block_sizes":
+            assert got == M
+        else:
+            assert got.dtype == M.dtype and got.shape == M.shape and got.tobytes() == M.tobytes()
+    # the supports compile_graph builds are those a scan of the dense matrices finds
+    rescanned = SspProblem(*want)
+    for name in ("_A", "_B", "_E"):
+        for mine, theirs in zip(getattr(p, name), getattr(rescanned, name)):
+            assert np.array_equal(mine, theirs)
+    _assert_solves_like_the_dense_reference(p, _dense_problem(*want), SolveConfig(max_iter=500))
+
+
+def test_generated_graphs_solve_like_the_dense_reference():
+    for g in _generated_graphs():
+        want = _dense_compile_graph(g)
+        _assert_solves_like_the_dense_reference(
+            compile_graph(g).problem, _dense_problem(*want), SolveConfig()
+        )
+
+
+def test_compile_graph_builds_no_dense_matrix():
+    g = random_ssp_graph(3000, seed=0, stochastic=True)
+    tracemalloc.start()
+    try:
+        p = compile_graph(g).problem
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6  # the dense A, B and E took 284 MB
+    assert p.B.shape == (p.n, p.m) and p.B is p.B  # built on first access, then kept
+
+
+def test_solve_allocates_no_dense_matrix_but_the_gain():
+    p = compile_graph(random_ssp_graph(1000, seed=0, stochastic=True)).problem
+    tracemalloc.start()
+    try:
+        sol = solve_ssp(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sol.K.nbytes + 2e6  # one more n x n matrix would be 8 MB
+
+
+# ---------------------------------------------------------------------------
+# non-finite data
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["A", "B", "s", "r", "E"])
+def test_problem_rejects_non_finite_entries(field, bad):
+    data = dict(A=[[0.5]], B=[[-1.0]], s=[1.0], r=[2.0], block_sizes=(1,), E=[[1.0]])
+    data[field] = [[bad]] if field in "ABE" else [bad]
+    with pytest.raises(InvalidProblem, match=f"^{field} must be finite$"):
+        SspProblem(**data)
+
+
+@pytest.mark.parametrize("s", [[float("nan"), 0.0], [0.1, float("nan")], [float("inf"), 0.0]])
+def test_graph_rejects_non_finite_node_costs(s):
+    # a NaN node cost used to pass intake and run every sweep of the budget
+    with pytest.raises(InvalidProblem, match="node costs must be finite"):
+        GraphSsp(n_nodes=2, goals=(1,), edges=(GraphEdge(0, (1,), 1.0, (1.0,)),), s=s)
+
+
+def test_nan_certificate_fails_closed(monkeypatch):
+    p = single_state_problem()
+    rows, states = np.array([0]), np.array([0])
+    with pytest.raises(CertificationError, match="not strictly positive"):
+        ssp._certify(p, np.array([np.nan]), rows, states)
+    monkeypatch.setattr(ssp, "_tdot", lambda S, x: np.full(S.shape[1], np.nan))
+    none = np.zeros(0, dtype=int)
+    with pytest.raises(CertificationError, match="bound nan >= 1"):
+        ssp._certify(p, np.array([3.0]), none, none)
+
+
+def test_problem_is_immutable_and_edges_are_tuples():
+    p = single_state_problem()
+    with pytest.raises(AttributeError):
+        p.s = np.array([2.0])
+    with pytest.raises(ValueError):
+        p.A[0, 0] = 2.0  # read-only
+    e = GraphEdge(source=0, targets=(1,), cost=1.0, probs=(1.0,))
+    assert e == (0, (1,), 1.0, (1.0,)) and GraphEdge(*e) == e
+    with pytest.raises(AttributeError):
+        e.cost = 2.0
