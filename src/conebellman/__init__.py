@@ -9,20 +9,9 @@ linear term — solved by one engine iterating one vectorized step per class:
 - KL-control / linearly solvable MDPs via desirability (`ldp`),
 
 with independent brute-force oracles (`oracles`) for cross-validation and a
-batch CLI (``conebellman solve|verify|bench``).
+batch CLI (``conebellman solve|verify``).
 """
 
-from .cones import (
-    ConeKind,
-    ConeTag,
-    Order,
-    ValueObject,
-    cone_norm,
-    in_cone,
-    is_interior,
-    min_of_ordered_set,
-    partial_order_leq,
-)
 from .engine import (
     ConvergenceTrace,
     FixedPointResult,
@@ -31,15 +20,12 @@ from .engine import (
     TraceRecord,
     fixed_point_solve,
     spectral_radius,
-    stationarity_residual,
 )
 from .errors import (
     BadSeedConfig,
     CertificationError,
     ConebellmanError,
-    ConeMismatch,
     Diverged,
-    EmptySet,
     GoalNotAbsorbing,
     GoalUnreachable,
     InputError,
@@ -49,7 +35,6 @@ from .errors import (
     NoGoal,
     NonSquare,
     NotInCone,
-    NotInteriorWeight,
     NotPositiveDefinite,
     ShapeMismatch,
     SingularInnerMatrix,

@@ -1,8 +1,7 @@
-"""Batch command-line front door: solve, verify, bench.
+"""Batch command-line front door: solve, verify.
 
     conebellman solve PROBLEM.json [--tol R] [--max-iter N] [--out DIR] [--trace]
     conebellman verify PROBLEM.json [--seed N] [--trials N]
-    conebellman bench --class ssp|lqr|ldp --sizes 10,50,100 [--seed N]
 
 Exit status: 0 solved / all checks passed; 2 diverged or infeasible;
 3 invalid input (schema, shapes, semantic validation, bad flags);
@@ -10,8 +9,7 @@ Exit status: 0 solved / all checks passed; 2 diverged or infeasible;
 
 `solve` writes solution.json (and trace.csv with --trace) into --out
 (default: current directory).  Identical inputs and flags produce
-byte-identical solution.json.  `bench` prints CSV to stdout with header
-`class,n,iters,wall_ns,residual`; only wall_ns varies between repeat runs.
+byte-identical solution.json.
 
 Set CONEBELLMAN_LOG to error (default), info, or debug for diagnostics on
 stderr.
@@ -23,22 +21,17 @@ import argparse
 import logging
 import os
 import sys
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import SolveConfig
-from .errors import InputError, InvalidProblem, SolveFailure
-from .generators import random_ldp, random_lqr, random_ssp_graph
+from .errors import InputError, SolveFailure
 from .io import ParsedProblem, load_problem, write_solution, write_trace_csv
 from .ldp import reduce as ldp_reduce
 from .ldp import solve_ldp
 from .lqr import solve_lqr
 from .oracles import dijkstra, ldp_logsumexp_vi, ldp_rollout, naive_dare, ssp_value_iteration
-from .ssp import compile_graph, solve_ssp
-
-logger = logging.getLogger("conebellman.cli")
+from .ssp import solve_ssp
 
 EXIT_SOLVED = 0
 EXIT_DIVERGED = 2
@@ -47,17 +40,6 @@ EXIT_VERIFY_FAILED = 4
 
 _ROLLOUT_HORIZON = 1000
 _ROLLOUT_START = 0
-
-
-@dataclass
-class RunManifest:
-    """What one invocation did: inputs, effective config, outputs, status."""
-
-    input_path: str
-    problem_type: str
-    config: dict
-    output_paths: list[str] = field(default_factory=list)
-    exit_status: int = EXIT_SOLVED
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,13 +68,6 @@ def _build_parser() -> _Parser:
     verify.add_argument(
         "--trials", type=int, default=0, help="Monte Carlo rollout trials (ldp)"
     )
-
-    bench = sub.add_parser("bench", help="time seeded random instances, CSV to stdout")
-    bench.add_argument(
-        "--class", dest="klass", required=True, choices=["ssp", "lqr", "ldp"]
-    )
-    bench.add_argument("--sizes", required=True, help="comma-separated sizes")
-    bench.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -156,21 +131,15 @@ def _dispatch_solve(parsed: ParsedProblem, cfg: SolveConfig):
 def _cmd_solve(args) -> int:
     parsed = load_problem(args.problem)
     cfg = SolveConfig(tol=args.tol, max_iter=args.max_iter)
-    manifest = RunManifest(
-        input_path=args.problem,
-        problem_type=parsed.kind,
-        config={"tol": cfg.tol, "max_iter": cfg.max_iter},
-    )
     out_dict, trace = _dispatch_solve(parsed, cfg)
     os.makedirs(args.out, exist_ok=True)
     solution_path = os.path.join(args.out, "solution.json")
     write_solution(solution_path, out_dict)
-    manifest.output_paths.append(solution_path)
+    written = [solution_path]
     if args.trace:
         trace_path = os.path.join(args.out, "trace.csv")
         write_trace_csv(trace_path, trace)
-        manifest.output_paths.append(trace_path)
-    logger.info("manifest: %s", manifest)
+        written.append(trace_path)
     residual_key = (
         "stationarity_residual" if "stationarity_residual" in out_dict
         else "dare_residual" if "dare_residual" in out_dict
@@ -180,7 +149,7 @@ def _cmd_solve(args) -> int:
         f"{parsed.kind}: converged in {out_dict['iterations']} iterations, "
         f"{residual_key} {out_dict[residual_key]:.3e}"
     )
-    for path in manifest.output_paths:
+    for path in written:
         print(f"wrote {path}")
     return EXIT_SOLVED
 
@@ -254,49 +223,10 @@ def _cmd_verify(args) -> int:
     return EXIT_SOLVED
 
 
-def _bench_one(klass: str, n: int, seed: int):
-    """Solve one seeded instance; return (iterations, wall_ns, residual)."""
-    if klass == "ssp":
-        graph = random_ssp_graph(max(n, 2), seed=seed, stochastic=True)
-        problem = compile_graph(graph).problem
-        t0 = time.perf_counter_ns()
-        sol = solve_ssp(problem)
-        wall = time.perf_counter_ns() - t0
-        return len(sol.trace), wall, sol.stationarity
-    if klass == "lqr":
-        problem = random_lqr(n, max(1, n // 2), seed=seed)
-        t0 = time.perf_counter_ns()
-        sol = solve_lqr(problem)
-        wall = time.perf_counter_ns() - t0
-        return len(sol.trace), wall, sol.dare_residual
-    problem = random_ldp(max(n, 2), seed=seed)
-    t0 = time.perf_counter_ns()
-    sol = solve_ldp(problem)
-    wall = time.perf_counter_ns() - t0
-    return len(sol.trace), wall, sol.bellman_residual
-
-
-def _cmd_bench(args) -> int:
-    tokens = [tok.strip() for tok in args.sizes.split(",") if tok.strip()]
-    if not tokens:
-        raise InvalidProblem(f"--sizes must list at least one size, got {args.sizes!r}")
-    try:
-        sizes = [int(tok) for tok in tokens]
-    except ValueError:
-        raise InvalidProblem(f"--sizes entries must be integers, got {args.sizes!r}")
-    if any(n < 2 for n in sizes):
-        raise InvalidProblem("--sizes entries must be >= 2")
-    print("class,n,iters,wall_ns,residual")
-    for n in sizes:
-        iters, wall, residual = _bench_one(args.klass, n, args.seed)
-        print(f"{args.klass},{n},{iters},{wall},{format(residual, '.17g')}")
-    return EXIT_SOLVED
-
-
 def main(argv=None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
-    commands = {"solve": _cmd_solve, "verify": _cmd_verify, "bench": _cmd_bench}
+    commands = {"solve": _cmd_solve, "verify": _cmd_verify}
     try:
         return commands[args.command](args)
     except InputError as exc:

@@ -11,7 +11,6 @@ desirability) supplies a single vectorized ``step`` that evaluates all of its
 independent block minima at once; the minimizer it returns alongside the next
 iterate is whatever that class needs to recover its policy, and the one
 returned by the engine comes from the same sweep that certified the solution.
-Only the initial and the returned value are wrapped in :class:`ValueObject`.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .cones import ValueObject, in_cone
-from .errors import (
-    Diverged,
-    InvalidProblem,
-    MaxIterExceeded,
-    NonSquare,
-    NotInCone,
-)
+from .errors import Diverged, InvalidProblem, MaxIterExceeded, NonSquare
 
 logger = logging.getLogger("conebellman.engine")
 
@@ -90,9 +82,6 @@ class ConvergenceTrace:
     def __iter__(self):
         return iter(self.records)
 
-    def residuals(self) -> np.ndarray:
-        return np.array([r.residual for r in self.records], dtype=float)
-
     @property
     def final_residual(self) -> float:
         return self.records[-1].residual if self.records else float("nan")
@@ -100,14 +89,10 @@ class ConvergenceTrace:
 
 @dataclass
 class FixedPointResult:
-    value: ValueObject
+    value: np.ndarray
     minimizer: Any  # what the certifying sweep's step returned beside its iterate
     trace: ConvergenceTrace
     residual: float  # stationarity residual certified at the returned value
-
-    @property
-    def iterations(self) -> int:
-        return len(self.trace)
 
 
 def _sup_norm(a: np.ndarray) -> float:
@@ -116,7 +101,7 @@ def _sup_norm(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def fixed_point_solve(step: Step, lam0: ValueObject, cfg: SolveConfig) -> FixedPointResult:
+def fixed_point_solve(step: Step, lam0: np.ndarray, cfg: SolveConfig) -> FixedPointResult:
     """Iterate ``step`` from ``lam0`` to a certified fixed point.
 
     Every sweep evaluates all blocks at the previous iterate.  Once the
@@ -125,12 +110,9 @@ def fixed_point_solve(step: Step, lam0: ValueObject, cfg: SolveConfig) -> FixedP
     returned only if that is below ``10 * cfg.tol``, and the minimizer
     returned is the one evaluated at the returned value.
     """
-    if not in_cone(lam0):
-        raise NotInCone("initial value must lie in the cone")
-
     trace = ConvergenceTrace()
     t0 = time.perf_counter_ns()
-    lam = lam0.data
+    lam = lam0
     prev_residual = None
     growth_streak = 0
     verify = False
@@ -148,7 +130,7 @@ def fixed_point_solve(step: Step, lam0: ValueObject, cfg: SolveConfig) -> FixedP
             logger.info(
                 "converged after %d iterations (stationarity %.3e)", k + 1, residual
             )
-            return FixedPointResult(ValueObject(lam0.cone, lam), minimizer, trace, residual)
+            return FixedPointResult(lam, minimizer, trace, residual)
 
         magnitude = _sup_norm(lam_new)
         if magnitude > cfg.divergence_cap:
@@ -174,13 +156,6 @@ def fixed_point_solve(step: Step, lam0: ValueObject, cfg: SolveConfig) -> FixedP
         f"residual {trace.final_residual:.3e} still above tol {cfg.tol:.1e} "
         f"after {cfg.max_iter} iterations"
     )
-
-
-def stationarity_residual(step: Step, lam: ValueObject) -> float:
-    """Sup-norm of lam minus one sweep of ``step`` evaluated at lam."""
-    if not in_cone(lam):
-        raise NotInCone("stationarity check expects a cone member")
-    return _sup_norm(step(lam.data)[0] - lam.data)
 
 
 #: max recurrence order tried when extrapolating the power sequence

@@ -21,22 +21,10 @@ class SolveFailure(ConebellmanError):
     """A well-formed problem could not be solved."""
 
 
-# --- cone / ordering errors -------------------------------------------------
-
-class ConeMismatch(InputError):
-    """Two value objects live in different cones."""
-
-
-class NotInteriorWeight(InputError):
-    """A norm weight is not strictly inside the dual cone."""
-
+# --- cone and shape errors ---------------------------------------------------
 
 class NotInCone(InputError):
-    """A value object is outside its cone (beyond tolerance)."""
-
-
-class EmptySet(InputError):
-    """An operation over a set of candidates received no candidates."""
+    """A value is outside its cone (beyond tolerance)."""
 
 
 class NonSquare(InputError):

@@ -87,23 +87,27 @@ def _as_vector(raw, field: str) -> np.ndarray:
     return v
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python's bool is an int, but JSON's true is not a number."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _convert(kind, raw, field: str, context: str):
-    """kind(raw); a value that does not convert is invalid input naming its field."""
-    try:
+    """kind(raw) for a JSON number of that kind (a float id such as 2.0 is not
+    an integer); anything else is invalid input naming its field."""
+    if _is_int(raw) or (kind is float and isinstance(raw, float)):
         return kind(raw)
-    except (TypeError, ValueError):
-        what = "an integer node id" if kind is int else "a number"
-        message = f"{context}: {field!r} holds {raw!r}, which is not {what}"
-        raise InvalidProblem(message) from None
+    what = "an integer node id" if kind is int else "a number"
+    raise InvalidProblem(f"{context}: {field!r} holds {raw!r}, which is not {what}")
 
 
 def _parse_graph(obj: dict) -> GraphSsp:
     _no_extras(obj, {"type", "nodes", "goal", "edges", "s"}, "ssp-graph")
     nodes = _require(obj, "nodes", "ssp-graph")
-    if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1:
+    if not _is_int(nodes) or nodes < 1:
         raise InvalidProblem(f"ssp-graph: 'nodes' must be a positive count, got {nodes!r}")
     raw_goal = _require(obj, "goal", "ssp-graph")
-    if isinstance(raw_goal, int):
+    if _is_int(raw_goal):
         goal = [raw_goal]
     elif isinstance(raw_goal, list):
         goal = [_convert(int, g, "goal", "ssp-graph") for g in raw_goal]
@@ -121,7 +125,7 @@ def _parse_graph(obj: dict) -> GraphSsp:
         src = _require(e, "from", ctx)
         to = _require(e, "to", ctx)
         cost = _require(e, "cost", ctx)
-        if isinstance(to, int):
+        if _is_int(to):
             targets = (to,)
         elif isinstance(to, list):
             targets = tuple(_convert(int, t, "to", ctx) for t in to)
@@ -153,9 +157,7 @@ def parse_problem(obj: dict) -> ParsedProblem:
     if kind == "ssp":
         _no_extras(obj, {"type", "A", "B", "s", "r", "blocks", "E"}, "ssp")
         blocks = _require(obj, "blocks", "ssp")
-        if not isinstance(blocks, list) or not all(
-            isinstance(b, int) and not isinstance(b, bool) for b in blocks
-        ):
+        if not isinstance(blocks, list) or not all(map(_is_int, blocks)):
             raise InvalidProblem("ssp: 'blocks' must be a list of integers")
         problem = SspProblem(
             A=_as_matrix(_require(obj, "A", "ssp"), "A"),

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import ConeTag, ValueObject
 from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
 from .errors import (
     CertificationError,
@@ -307,10 +306,8 @@ def solve_desirability(
     if z is None:
         # iterate to stationarity below tol (the engine certifies 10x its tol)
         inner = replace(cfg, tol=cfg.tol / 10.0)
-        result = fixed_point_solve(
-            _desirability_step(r), ValueObject.zeros(ConeTag.orthant(n)), inner
-        )
-        z = np.array(result.value.data)
+        result = fixed_point_solve(_desirability_step(r), np.zeros(n), inner)
+        z = result.value
         trace = result.trace
         residual = affine_residual(z)
 

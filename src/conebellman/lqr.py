@@ -20,18 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import SYMMETRY_TOL, ConeTag, ValueObject
 from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
 from .errors import (
     CertificationError,
     InvalidProblem,
     MaxIterExceeded,
+    NotInCone,
     NotPositiveDefinite,
     ShapeMismatch,
     UnstableGain,
 )
 
 logger = logging.getLogger("conebellman.lqr")
+
+#: relative tolerance for accepting a nearly-symmetric matrix before symmetrizing
+SYMMETRY_TOL = 1e-12
 
 _LYAPUNOV_TOL = 1e-12
 # 2**64 Lyapunov sweeps: the doubling summands shrink like rho**(2**k), which
@@ -75,6 +78,8 @@ class LqrProblem:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ShapeMismatch(f"A must be square, got {A.shape}")
         n = A.shape[0]
+        if n < 1:
+            raise ShapeMismatch("A must have at least one state, got shape (0, 0)")
         if B.ndim != 2 or B.shape[0] != n:
             raise ShapeMismatch(f"B must be n x m with n={n}, got {B.shape}")
         m = B.shape[1]
@@ -84,9 +89,9 @@ class LqrProblem:
             raise ShapeMismatch(f"Q must be {n} x {n}, got {Q.shape}")
         if R.shape != (m, m):
             raise ShapeMismatch(f"R must be {m} x {m}, got {R.shape}")
-        q_min = float(np.linalg.eigvalsh(Q)[0]) if n else 0.0
+        q_min = float(np.linalg.eigvalsh(Q)[0])
         r_min = float(np.linalg.eigvalsh(R)[0]) if m else 0.0
-        q_slack = 1e-12 * max(1.0, float(np.max(np.abs(Q))) if Q.size else 0.0)
+        q_slack = 1e-12 * max(1.0, float(np.max(np.abs(Q))))
         r_slack = 1e-12 * max(1.0, float(np.max(np.abs(R))) if R.size else 0.0)
         if q_min > 0.0 and r_min >= -r_slack:
             pass
@@ -178,14 +183,16 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
     failing intake.
     """
     cfg = cfg or SolveConfig()
+    # intake lets Q's smallest eigenvalue reach -1e-12 * max|Q|; the start
+    # of the iteration must lie in the PSD cone to 1e-10 absolute
+    if np.linalg.eigvalsh(p.Q)[0] < -1e-10:
+        raise NotInCone("initial value must lie in the cone")
     # iterates are the step's own symmetrized emissions, so none is re-validated
-    result = fixed_point_solve(
-        lambda lam: _riccati_core(p, lam), ValueObject(ConeTag.psd(p.n), p.Q), cfg
-    )
-    lam = np.array(result.value.data)
+    result = fixed_point_solve(lambda lam: _riccati_core(p, lam), p.Q, cfg)
+    lam = result.value
     K = result.minimizer
-    min_eig = float(np.linalg.eigvalsh(lam)[0]) if p.n else 0.0
-    if p.n and not min_eig > 0.0:
+    min_eig = float(np.linalg.eigvalsh(lam)[0])
+    if not min_eig > 0.0:
         raise CertificationError(
             f"converged value matrix is not positive definite (min eig {min_eig:.3e})"
         )
@@ -208,7 +215,7 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
 
 def _closed_loop_radius(p: LqrProblem, K: np.ndarray) -> float:
     """Spectral radius of A + BK from its LAPACK eigenvalues."""
-    return float(np.abs(np.linalg.eigvals(p.A + p.B @ K)).max()) if p.n else 0.0
+    return float(np.abs(np.linalg.eigvals(p.A + p.B @ K)).max())
 
 
 def cost_of_gain(p: LqrProblem, K: np.ndarray, x0: np.ndarray) -> float:
@@ -235,7 +242,7 @@ def cost_of_gain(p: LqrProblem, K: np.ndarray, x0: np.ndarray) -> float:
     for _ in range(_LYAPUNOV_MAX_DOUBLINGS):
         lam_next = lam + power.T @ lam @ power
         lam_next = 0.5 * (lam_next + lam_next.T)
-        gap = float(np.max(np.abs(lam_next - lam))) if lam.size else 0.0
+        gap = float(np.max(np.abs(lam_next - lam)))
         lam = lam_next
         if gap < _LYAPUNOV_TOL:
             return float(np.tensordot(lam, x0, axes=2))

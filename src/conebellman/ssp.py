@@ -51,7 +51,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import ConeTag, ValueObject
 from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
 from .errors import (
     CertificationError,
@@ -134,10 +133,11 @@ def _column_entries(S: _Support, cols: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class SspProblem:
     """Matrices and costs of one shortest-path control instance.
 
-    A is n x n nonnegative, B is n x m, s > 0 (length n), r >= 0 (length m),
-    block_sizes partitions the m inputs by state (zero-size blocks allowed),
-    and E is the n x n nonnegative budget matrix: actions of block i may
-    spend at most E_ij of state j's mass.  Every entry must be finite.
+    A is n x n nonnegative with n >= 1, B is n x m, s > 0 (length n),
+    r >= 0 (length m), block_sizes partitions the m inputs by state
+    (zero-size blocks allowed), and E is the n x n nonnegative budget
+    matrix: actions of block i may spend at most E_ij of state j's mass.
+    Every entry must be finite.
 
     A, B and E are kept as their supports, which is all the solver reads: a
     dense matrix given here is scanned once, and compile_graph passes
@@ -152,6 +152,8 @@ class SspProblem:
         if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
             raise ShapeMismatch(f"A must be square, got {A.shape}")
         n = A.shape[0]
+        if n < 1:
+            raise ShapeMismatch("A must have at least one state, got shape (0, 0)")
         if len(B.shape) != 2 or B.shape[0] != n:
             raise ShapeMismatch(f"B must be n x m with n={n}, got {B.shape}")
         m = B.shape[1]
@@ -388,15 +390,13 @@ def solve_ssp(p: SspProblem, cfg: SolveConfig | None = None) -> SspSolution:
     """
     cfg = cfg or SolveConfig()
     try:
-        result = fixed_point_solve(
-            lambda lam: _sweep(p, lam), ValueObject.zeros(ConeTag.orthant(p.n)), cfg
-        )
+        result = fixed_point_solve(lambda lam: _sweep(p, lam), np.zeros(p.n), cfg)
     except NegativeLambda as exc:
         raise CertificationError(
             "value iterate has negative entries; "
             "the budget matrix E does not preserve the orthant"
         ) from exc
-    lam = np.array(result.value.data)
+    lam = result.value
     rows, states = _policy(p, result.minimizer)
     rho = _certify(p, lam, rows, states)
     return SspSolution(

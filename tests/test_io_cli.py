@@ -246,6 +246,21 @@ def test_solve_non_finite_input_exits_3(tmp_path, capsys, problem, message):
         (dict(GRAPH, goal=["a"]), "'goal' holds 'a'"),
         (dict(GRAPH, goal="3"), "'goal' must be a node id"),
         (dict(LDP_SINGLE, goals=["a"]), "'goals' holds 'a'"),
+        # fractional ids used to truncate and bools to count as 0 and 1
+        (dict(LDP_SINGLE, goals=[1.5]), "'goals' holds 1.5"),
+        (dict(LDP_SINGLE, goals=[1.0]), "'goals' holds 1.0"),
+        (dict(GRAPH, goal=True), "'goal' must be a node id"),
+        (dict(GRAPH, goal=[1.5]), "'goal' holds 1.5"),
+        (dict(GRAPH, goal=[True]), "'goal' holds True"),
+        (dict(GRAPH, edges=[{"from": 0, "to": [1.9], "cost": 1.0}]), "'to' holds 1.9"),
+        (dict(GRAPH, edges=[{"from": 0, "to": True, "cost": 1.0}]), "'to' must be a node id"),
+        (dict(GRAPH, edges=[{"from": 2.0, "to": 3, "cost": 1.0}]), "'from' holds 2.0"),
+        (dict(GRAPH, edges=[{"from": 0, "to": 3, "cost": True}]), "'cost' holds True"),
+        (dict(GRAPH, edges=[{"from": 0, "to": 3, "cost": "1.5"}]), "'cost' holds '1.5'"),
+        (
+            dict(GRAPH, edges=[{"from": 0, "to": [3], "cost": 1.0, "prob": [True]}]),
+            "'prob' holds True",
+        ),
     ],
 )
 def test_solve_non_integer_ids_exit_3_naming_the_field(tmp_path, capsys, problem, field):
@@ -253,6 +268,18 @@ def test_solve_non_integer_ids_exit_3_naming_the_field(tmp_path, capsys, problem
     assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+def test_solve_lqr_start_outside_the_psd_cone_exits_3(tmp_path, capsys):
+    # intake allows Q's eigenvalues down to -1e-12 * max|Q|; the iteration
+    # starts from Q, which must lie in the PSD cone to 1e-10
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    Q = [[1000.0, 0.0], [0.0, -5e-10]]
+    obj = dict(LQR_SCALAR, A=[[0.5, 0.0], [0.0, 0.5]], B=eye, Q=Q, R=eye)
+    prob = write_json(tmp_path, "p.json", obj)
+    assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 3
+    assert "initial value must lie in the cone" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
 
 
 def test_solve_missing_file_exits_3(tmp_path):
@@ -308,36 +335,6 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
     )
     assert cli_mod.main(["verify", prob]) == 4
     assert "FAIL" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# CLI: bench
-
-
-def test_bench_emits_csv(capsys):
-    assert cli.main(["bench", "--class", "lqr", "--sizes", "2,3", "--seed", "1"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "class,n,iters,wall_ns,residual"
-    assert len(lines) == 3
-    for row in lines[1:]:
-        klass, n, iters, wall, residual = row.split(",")
-        assert klass == "lqr"
-        assert int(n) in (2, 3)
-        assert int(iters) > 0
-        assert int(wall) > 0
-        assert float(residual) < 1e-8
-
-
-def test_bench_rejects_bad_sizes():
-    assert cli.main(["bench", "--class", "ssp", "--sizes", ""]) == 3
-    assert cli.main(["bench", "--class", "ssp", "--sizes", "1"]) == 3
-    assert cli.main(["bench", "--class", "ssp", "--sizes", "a,b"]) == 3
-
-
-def test_bench_requires_known_class():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bench", "--class", "qp", "--sizes", "2"])
-    assert exc.value.code == 3
 
 
 # ---------------------------------------------------------------------------

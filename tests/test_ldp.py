@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conebellman import (
     CertificationError,
-    ConeTag,
     ConvergenceTrace,
     GoalNotAbsorbing,
     GoalUnreachable,
@@ -23,7 +22,6 @@ from conebellman import (
     SingularSystem,
     SolveConfig,
     SupportViolation,
-    ValueObject,
     fixed_point_solve,
     kl_stage_cost,
     optimal_policy,
@@ -251,12 +249,8 @@ def test_block_iteration_agrees_with_direct_solve():
     p = random_ldp(9, seed=31)
     r = reduce(p)
     z_direct, _, _ = solve_desirability(r)
-    res = fixed_point_solve(
-        _desirability_step(r),
-        ValueObject.zeros(ConeTag.orthant(r.n_r)),
-        SolveConfig(tol=1e-14),
-    )
-    np.testing.assert_allclose(res.value.data, z_direct, atol=1e-12)
+    res = fixed_point_solve(_desirability_step(r), np.zeros(r.n_r), SolveConfig(tol=1e-14))
+    np.testing.assert_allclose(res.value, z_direct, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -577,11 +571,9 @@ def _dense_solve_desirability(Pr, pg, sr, cfg):
     if z is None:
         Pt = Pr.T
         result = fixed_point_solve(
-            lambda v: (g * (Pt @ v + pg), None),
-            ValueObject.zeros(ConeTag.orthant(n)),
-            replace(cfg, tol=cfg.tol / 10.0),
+            lambda v: (g * (Pt @ v + pg), None), np.zeros(n), replace(cfg, tol=cfg.tol / 10.0)
         )
-        z = np.array(result.value.data)
+        z = result.value
         trace = result.trace
         residual = affine_residual(z)
     if residual >= cfg.tol:

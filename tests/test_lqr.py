@@ -9,6 +9,7 @@ from conebellman import (
     CertificationError,
     InvalidProblem,
     LqrProblem,
+    NotInCone,
     NotPositiveDefinite,
     ShapeMismatch,
     SolveConfig,
@@ -53,6 +54,20 @@ def test_intake_warns_on_semidefinite_state_cost(caplog):
 def test_intake_rejects_asymmetric_cost():
     with pytest.raises(ShapeMismatch):
         LqrProblem(A=np.eye(2), B=np.eye(2), Q=[[1.0, 0.3], [0.0, 1.0]], R=np.eye(2))
+
+
+def test_start_outside_the_psd_cone_is_rejected_by_the_solve():
+    # intake's slack is 1e-12 * max|Q| = 1e-9, the solve's start tolerance 1e-10
+    p = LqrProblem(A=0.5 * np.eye(2), B=np.eye(2), Q=np.diag([1000.0, -5e-10]), R=np.eye(2))
+    with pytest.raises(NotInCone, match="initial value must lie in the cone"):
+        solve_lqr(p)
+
+
+def test_problem_without_states_is_rejected():
+    with pytest.raises(ShapeMismatch):
+        solve_lqr(
+            LqrProblem(A=np.zeros((0, 0)), B=np.zeros((0, 2)), Q=np.zeros((0, 0)), R=np.eye(2))
+        )
 
 
 # ---------------------------------------------------------------------------

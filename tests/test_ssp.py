@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conebellman import (
     CertificationError,
-    ConeTag,
     GraphEdge,
     GraphSsp,
     InvalidProblem,
@@ -20,7 +19,6 @@ from conebellman import (
     ShapeMismatch,
     SolveConfig,
     SspProblem,
-    ValueObject,
     bellman_update,
     closed_loop_successors,
     compile_graph,
@@ -56,6 +54,9 @@ def test_problem_shape_and_sign_checks():
         SspProblem(A=[[1.0]], B=[[1.0]], s=[1.0], r=[-1.0], block_sizes=(1,), E=[[1.0]])
     with pytest.raises(InvalidProblem):
         SspProblem(A=[[1.0]], B=[[1.0]], s=[1.0], r=[1.0], block_sizes=(2,), E=[[1.0]])
+    with pytest.raises(ShapeMismatch):  # no state to solve for
+        empty = np.zeros((0, 0))
+        solve_ssp(SspProblem(A=empty, B=empty, s=[], r=[], block_sizes=(), E=empty))
 
 
 # ---------------------------------------------------------------------------
@@ -821,15 +822,13 @@ def _dense_certify(d, lam, K):
 def _dense_solve(d, cfg):
     """(lam, K, sweeps, rho) of the dense solver."""
     try:
-        result = fixed_point_solve(
-            lambda lam: _dense_sweep(d, lam), ValueObject.zeros(ConeTag.orthant(d.n)), cfg
-        )
+        result = fixed_point_solve(lambda lam: _dense_sweep(d, lam), np.zeros(d.n), cfg)
     except NegativeLambda as exc:
         raise CertificationError(
             "value iterate has negative entries; "
             "the budget matrix E does not preserve the orthant"
         ) from exc
-    lam = np.array(result.value.data)
+    lam = result.value
     K = _dense_gain(d, result.minimizer)
     return lam, K, len(result.trace), _dense_certify(d, lam, K)
 
