@@ -13,7 +13,6 @@ batch CLI (``conebellman solve|verify``).
 """
 
 from .engine import (
-    ConvergenceTrace,
     FixedPointResult,
     SolveConfig,
     Step,
@@ -34,7 +33,6 @@ from .errors import (
     NegativeLambda,
     NoGoal,
     NonSquare,
-    NotInCone,
     NotPositiveDefinite,
     ShapeMismatch,
     SingularInnerMatrix,

@@ -21,11 +21,7 @@ class SolveFailure(ConebellmanError):
     """A well-formed problem could not be solved."""
 
 
-# --- cone and shape errors ---------------------------------------------------
-
-class NotInCone(InputError):
-    """A value is outside its cone (beyond tolerance)."""
-
+# --- shape errors ------------------------------------------------------------
 
 class NonSquare(InputError):
     """A matrix that must be square is not."""

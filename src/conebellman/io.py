@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -63,6 +64,21 @@ def _no_extras(obj: dict, allowed: set[str], context: str) -> None:
         )
 
 
+#: the types json decodes a number to
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _require_numbers(rows, field: str) -> None:
+    """Reject strings, booleans and nulls among the entries of ``rows``.
+
+    np.array(..., dtype=float) reads "1.0" and true as 1.0 and null as nan,
+    even inside an otherwise numeric row; this check is one C-level pass.
+    """
+    if not _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(rows))):
+        bad = next(x for x in chain.from_iterable(rows) if type(x) not in _JSON_NUMBERS)
+        raise InvalidProblem(f"field {field!r} holds {bad!r}, which is not a number")
+
+
 def _as_matrix(raw, field: str) -> np.ndarray:
     try:
         M = np.array(raw, dtype=float)
@@ -74,6 +90,7 @@ def _as_matrix(raw, field: str) -> np.ndarray:
         raise InvalidProblem(
             f"field {field!r} must be an array of equal-length rows, got ndim={M.ndim}"
         )
+    _require_numbers(raw, field)
     return M
 
 
@@ -84,6 +101,7 @@ def _as_vector(raw, field: str) -> np.ndarray:
         raise InvalidProblem(f"field {field!r} is not a numeric vector: {exc}")
     if v.ndim != 1:
         raise InvalidProblem(f"field {field!r} must be a flat array, got ndim={v.ndim}")
+    _require_numbers((raw,), field)
     return v
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
+from .engine import SolveConfig, TraceRecord, fixed_point_solve
 from .errors import (
     CertificationError,
     GoalNotAbsorbing,
@@ -177,7 +177,7 @@ class LdpSolution:
     z: np.ndarray
     lam: np.ndarray
     Pstar: np.ndarray
-    trace: ConvergenceTrace
+    trace: list[TraceRecord]
     bellman_residual: float
 
 
@@ -259,7 +259,7 @@ def _desirability_step(r: ReducedLdp):
 
 def solve_desirability(
     r: ReducedLdp, cfg: SolveConfig | None = None
-) -> tuple[np.ndarray, np.ndarray, ConvergenceTrace]:
+) -> tuple[np.ndarray, np.ndarray, list[TraceRecord]]:
     """Solve z = G(P̄_r^T z + p̄_g); return (z, lam, trace) with lam = -log z.
 
     rho(G P̄_r^T) < 1 is certified exactly first: the rows of G P̄_r^T sum to
@@ -299,8 +299,7 @@ def solve_desirability(
         residual = affine_residual(cand)
         if residual < cfg.tol:
             z = cand
-            trace = ConvergenceTrace()
-            trace.append(0, residual, time.perf_counter_ns() - t0)
+            trace = [TraceRecord(0, residual, time.perf_counter_ns() - t0)]
     except np.linalg.LinAlgError:
         z = None
     if z is None:

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
+from .engine import SolveConfig, TraceRecord, fixed_point_solve, spectral_radius
 from .errors import (
     CertificationError,
     InvalidProblem,
     MaxIterExceeded,
-    NotInCone,
     NotPositiveDefinite,
     ShapeMismatch,
     UnstableGain,
@@ -91,7 +90,9 @@ class LqrProblem:
             raise ShapeMismatch(f"R must be {m} x {m}, got {R.shape}")
         q_min = float(np.linalg.eigvalsh(Q)[0])
         r_min = float(np.linalg.eigvalsh(R)[0]) if m else 0.0
-        q_slack = 1e-12 * max(1.0, float(np.max(np.abs(Q))))
+        # the iteration starts from Q, so Q must also lie in the PSD cone to
+        # 1e-10 absolute
+        q_slack = min(1e-12 * max(1.0, float(np.max(np.abs(Q)))), 1e-10)
         r_slack = 1e-12 * max(1.0, float(np.max(np.abs(R))) if R.size else 0.0)
         if q_min > 0.0 and r_min >= -r_slack:
             pass
@@ -124,7 +125,7 @@ class LqrProblem:
 class LqrSolution:
     lam: np.ndarray
     K: np.ndarray
-    trace: ConvergenceTrace
+    trace: list[TraceRecord]
     dare_residual: float
     rho_closed_loop: float
 
@@ -183,10 +184,6 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
     failing intake.
     """
     cfg = cfg or SolveConfig()
-    # intake lets Q's smallest eigenvalue reach -1e-12 * max|Q|; the start
-    # of the iteration must lie in the PSD cone to 1e-10 absolute
-    if np.linalg.eigvalsh(p.Q)[0] < -1e-10:
-        raise NotInCone("initial value must lie in the cone")
     # iterates are the step's own symmetrized emissions, so none is re-validated
     result = fixed_point_solve(lambda lam: _riccati_core(p, lam), p.Q, cfg)
     lam = result.value
@@ -196,7 +193,7 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
         raise CertificationError(
             f"converged value matrix is not positive definite (min eig {min_eig:.3e})"
         )
-    rho = _closed_loop_radius(p, K)
+    rho = spectral_radius(p.A + p.B @ K)
     if not rho < 1.0:  # a NaN radius fails too
         raise CertificationError(f"closed-loop spectral radius {rho:.6f} >= 1")
     # the engine's certifying sweep ran the Riccati map at exactly this lam
@@ -211,11 +208,6 @@ def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
         dare_residual=result.residual,
         rho_closed_loop=rho,
     )
-
-
-def _closed_loop_radius(p: LqrProblem, K: np.ndarray) -> float:
-    """Spectral radius of A + BK from its LAPACK eigenvalues."""
-    return float(np.abs(np.linalg.eigvals(p.A + p.B @ K)).max())
 
 
 def cost_of_gain(p: LqrProblem, K: np.ndarray, x0: np.ndarray) -> float:
@@ -234,10 +226,10 @@ def cost_of_gain(p: LqrProblem, K: np.ndarray, x0: np.ndarray) -> float:
     x0 = _symmetrized("x0", np.asarray(x0, dtype=float))
     if x0.shape != (p.n, p.n):
         raise ShapeMismatch(f"x0 must be {p.n} x {p.n}, got {x0.shape}")
-    rho = _closed_loop_radius(p, K)
+    power = p.A + p.B @ K
+    rho = spectral_radius(power)
     if not rho < 1.0:
         raise UnstableGain(f"spectral radius of A + BK is {rho:.6f} >= 1")
-    power = p.A + p.B @ K
     lam = p.Q + K.T @ p.R @ K
     for _ in range(_LYAPUNOV_MAX_DOUBLINGS):
         lam_next = lam + power.T @ lam @ power

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import ConvergenceTrace, SolveConfig, fixed_point_solve
+from .engine import SolveConfig, TraceRecord, fixed_point_solve
 from .errors import (
     CertificationError,
     InvalidProblem,
@@ -235,7 +235,7 @@ class SspProblem:
 class SspSolution:
     lam: np.ndarray
     K: np.ndarray
-    trace: ConvergenceTrace
+    trace: list[TraceRecord]
     stationarity: float
     rho_closed_loop: float
 

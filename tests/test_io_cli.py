@@ -1,9 +1,12 @@
 """Problem ingestion, deterministic serialization, and the batch CLI."""
 
+import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +183,34 @@ def test_solve_is_byte_deterministic(tmp_path):
     )
 
 
+# SHA-256 of solution.json for each `scripts/make_problems.py --seed 0` sample.
+# A change that alters these bytes on purpose updates the digest here and
+# declares the change; another numpy or BLAS build may round differently.
+SAMPLE_SOLUTION_SHA256 = {
+    "graph_chain": "51a9f2384fcff4cc823bcf269dea2b929f6351a1acdc74c9e7f77c8bd9f4e449",
+    "graph_random": "7e313c85826c3826f2b1d50a1721c16eb78fe6615064fde33a2ee793a7c66ac0",
+    "graph_stochastic": "f8eac4bb2348664af3a4cce62371bea33f7615e9f453dcef987e36f21013c002",
+    "ldp_random": "b2472b93c87f117e7afd6353f6b29f13fd60daae8572d9ba76f78dde2a0ff45a",
+    "ldp_single": "6886074e8dd92d37dc8fc10d30ef9011e77a3227635d67152a69963b17e2eb27",
+    "lqr_random": "1748bd841cf1838b9db086f5305f1782246a2f4c6a9ca6217e77316282d71f1d",
+    "lqr_scalar": "b896eb49c1e26e118fc2b6b4421071bb071e6a76dbe642cf47896892579a2aba",
+    "ssp_raw_single": "f41fe09230d0985ddae43a0ce43ed68ff8a6dfcb0d0b3328eb378bb9d9d9a623",
+}
+
+
+def test_sample_solutions_match_recorded_digests(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_problems.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--seed", "0", "--out", str(tmp_path)])
+    assert runpy.run_path(str(script))["main"]() == 0
+    assert sorted(p.stem for p in tmp_path.glob("*.json")) == sorted(SAMPLE_SOLUTION_SHA256)
+    digests = {}
+    for name in SAMPLE_SOLUTION_SHA256:
+        out = tmp_path / name
+        assert cli.main(["solve", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256((out / "solution.json").read_bytes()).hexdigest()
+    assert digests == SAMPLE_SOLUTION_SHA256
+
+
 def test_solve_unstabilizable_exits_2(tmp_path):
     prob = write_json(
         tmp_path,
@@ -261,6 +292,15 @@ def test_solve_non_finite_input_exits_3(tmp_path, capsys, problem, message):
             dict(GRAPH, edges=[{"from": 0, "to": [3], "cost": 1.0, "prob": [True]}]),
             "'prob' holds True",
         ),
+        # np.array(..., dtype=float) reads "1.0" and true as 1.0, null as nan
+        (dict(LQR_SCALAR, A=[["1.0"]]), "'A' holds '1.0'"),
+        (dict(LQR_SCALAR, B=[[True]]), "'B' holds True"),
+        (dict(LQR_SCALAR, Q=[[None]]), "'Q' holds None"),
+        (dict(SSP_RAW, E=[[True]]), "'E' holds True"),
+        (dict(SSP_RAW, r=["2.0"]), "'r' holds '2.0'"),
+        (dict(LDP_SINGLE, Pbar=[[0.5, 0.0], [0.5, True]]), "'Pbar' holds True"),
+        (dict(LDP_SINGLE, s=[1.0, False]), "'s' holds False"),
+        (dict(GRAPH, s=[0.1, 0.1, "0.1", 0.0]), "'s' holds '0.1'"),
     ],
 )
 def test_solve_non_integer_ids_exit_3_naming_the_field(tmp_path, capsys, problem, field):
@@ -271,14 +311,14 @@ def test_solve_non_integer_ids_exit_3_naming_the_field(tmp_path, capsys, problem
 
 
 def test_solve_lqr_start_outside_the_psd_cone_exits_3(tmp_path, capsys):
-    # intake allows Q's eigenvalues down to -1e-12 * max|Q|; the iteration
-    # starts from Q, which must lie in the PSD cone to 1e-10
+    # intake allows Q's eigenvalues down to -min(1e-12 * max|Q|, 1e-10): the
+    # iteration starts from Q, which must lie in the PSD cone to 1e-10
     eye = [[1.0, 0.0], [0.0, 1.0]]
     Q = [[1000.0, 0.0], [0.0, -5e-10]]
     obj = dict(LQR_SCALAR, A=[[0.5, 0.0], [0.0, 0.5]], B=eye, Q=Q, R=eye)
     prob = write_json(tmp_path, "p.json", obj)
     assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 3
-    assert "initial value must lie in the cone" in capsys.readouterr().err
+    assert "need Q > 0 with R >= 0, or Q >= 0 with R > 0" in capsys.readouterr().err
     assert not (tmp_path / "solution.json").exists()
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conebellman import (
     CertificationError,
-    ConvergenceTrace,
     GoalNotAbsorbing,
     GoalUnreachable,
     InvalidProblem,
@@ -22,6 +21,7 @@ from conebellman import (
     SingularSystem,
     SolveConfig,
     SupportViolation,
+    TraceRecord,
     fixed_point_solve,
     kl_stage_cost,
     optimal_policy,
@@ -564,8 +564,7 @@ def _dense_solve_desirability(Pr, pg, sr, cfg):
         residual = affine_residual(cand)
         if residual < cfg.tol:
             z = cand
-            trace = ConvergenceTrace()
-            trace.append(0, residual, time.perf_counter_ns() - t0)
+            trace = [TraceRecord(0, residual, time.perf_counter_ns() - t0)]
     except np.linalg.LinAlgError:
         z = None
     if z is None:

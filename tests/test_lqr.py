@@ -9,7 +9,6 @@ from conebellman import (
     CertificationError,
     InvalidProblem,
     LqrProblem,
-    NotInCone,
     NotPositiveDefinite,
     ShapeMismatch,
     SolveConfig,
@@ -56,11 +55,11 @@ def test_intake_rejects_asymmetric_cost():
         LqrProblem(A=np.eye(2), B=np.eye(2), Q=[[1.0, 0.3], [0.0, 1.0]], R=np.eye(2))
 
 
-def test_start_outside_the_psd_cone_is_rejected_by_the_solve():
-    # intake's slack is 1e-12 * max|Q| = 1e-9, the solve's start tolerance 1e-10
-    p = LqrProblem(A=0.5 * np.eye(2), B=np.eye(2), Q=np.diag([1000.0, -5e-10]), R=np.eye(2))
-    with pytest.raises(NotInCone, match="initial value must lie in the cone"):
-        solve_lqr(p)
+def test_start_outside_the_psd_cone_is_rejected_at_intake():
+    # the relative slack 1e-12 * max|Q| = 1e-9 is capped at 1e-10 absolute,
+    # because the Riccati iteration starts from Q
+    with pytest.raises(InvalidProblem, match="min eigenvalues: Q -5.000e-10"):
+        LqrProblem(A=0.5 * np.eye(2), B=np.eye(2), Q=np.diag([1000.0, -5e-10]), R=np.eye(2))
 
 
 def test_problem_without_states_is_rejected():
@@ -253,6 +252,13 @@ def test_reported_defect_is_the_riccati_defect_at_lam(k):
     assert sol.dare_residual == dare_residual(p, sol.lam)
 
 
+@pytest.mark.parametrize("n, m", [(4, 2), (30, 15)])
+def test_reported_radius_is_the_spectral_radius_of_the_closed_loop(n, m):
+    p = random_lqr(n, m, seed=0)
+    sol = solve_lqr(p)
+    assert sol.rho_closed_loop == spectral_radius(p.A + p.B @ sol.K)
+
+
 # ---------------------------------------------------------------------------
 # fixed-gain evaluation
 
@@ -329,7 +335,7 @@ def test_value_iterates_are_loewner_monotone(seed):
 
 
 def test_nan_closed_loop_radius_fails_certification(monkeypatch):
-    monkeypatch.setattr(lqr, "_closed_loop_radius", lambda p, K: float("nan"))
+    monkeypatch.setattr(lqr, "spectral_radius", lambda M: float("nan"))
     with pytest.raises(CertificationError, match="spectral radius nan >= 1"):
         solve_lqr(scalar_problem())
     with pytest.raises(UnstableGain, match="nan >= 1"):
