@@ -42,8 +42,8 @@ class SolveConfig:
     Convergence is declared when the sup-norm of successive iterates drops
     below ``tol`` and an extra verification sweep confirms the stationarity
     residual is below ``10 * tol``.  Divergence is declared when any entry of
-    the iterate exceeds ``DIVERGENCE_CAP`` in magnitude, or when the residual
-    grows for ``GROWTH_LIMIT`` consecutive iterations.
+    the iterate exceeds ``DIVERGENCE_CAP`` in magnitude or is NaN, or when the
+    residual grows for ``GROWTH_LIMIT`` consecutive iterations.
     """
 
     tol: float = 1e-10
@@ -108,7 +108,7 @@ def fixed_point_solve(step: Step, lam0: np.ndarray, cfg: SolveConfig) -> FixedPo
             return FixedPointResult(lam, minimizer, trace, residual)
 
         magnitude = _sup_norm(lam_new)
-        if magnitude > DIVERGENCE_CAP:
+        if not magnitude <= DIVERGENCE_CAP:  # a NaN iterate diverges too
             raise Diverged(
                 f"iterate magnitude {magnitude:.3e} exceeded cap "
                 f"{DIVERGENCE_CAP:.3e} at iteration {k}"

@@ -18,12 +18,13 @@ map as one vectorized step of the fixed-point engine from z0 = 0 (monotone
 increasing).  The optimal controlled transitions then have the closed form
 p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i).
 
-Every stage runs on the support.  Each dense matrix received (P̄, a directly
-built P̄_r, the P given to `kl_stage_cost`) is scanned once for its row-major
-nonzeros (rows, cols, vals); all other work is O(nnz) on those arrays, and
-dense outputs are scattered from them.  Column sums are `np.bincount`, which
-adds each column in ascending row order as ``P.sum(axis=0)`` does, so results
-keep their bits.  Only the one dense LU of the direct solve is not O(nnz).
+Every stage runs on the support (see `sparse`).  Each dense matrix received
+(P̄, a directly built P̄_r, the P given to `kl_stage_cost`) is scanned once
+for its support; `reduce` hands the reduced support to ReducedLdp with no
+rescan.  All other work is O(nnz) on supports, and dense outputs are
+scattered from them.  Column sums add each column in ascending row order as
+``P.sum(axis=0)`` does, so results keep their bits.  Only the one dense LU
+of the direct solve is not O(nnz).
 """
 
 from __future__ import annotations
@@ -44,35 +45,9 @@ from .errors import (
     SingularSystem,
     SupportViolation,
 )
+from .sparse import Support, colsums, dense, frozen, row_entries, row_pointer, scan, tdot
 
 _STOCHASTIC_TOL = 1e-12
-
-
-def _support(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major (rows, cols, vals) of the nonzero entries of the square P."""
-    flat = np.flatnonzero(P != 0.0)
-    rows, cols = np.divmod(flat, P.shape[0])
-    return rows, cols, P[rows, cols]
-
-
-def _colsums(cols: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Per-column sums of support weights, each added in ascending row order.
-
-    np.bincount returns int64 zeros for an empty support; the sums stay float.
-    """
-    return np.bincount(cols, weights=weights, minlength=n).astype(float, copy=False)
-
-
-def _scatter(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    P = np.zeros((n, n))
-    P[rows, cols] = vals
-    return P
-
-
-def _freeze(obj, **arrays) -> None:
-    for name, a in arrays.items():
-        a.setflags(write=False)
-        object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
@@ -91,25 +66,25 @@ class LdpProblem:
 
     def __post_init__(self):
         P = np.asarray(self.Pbar, dtype=float)
-        s = np.array(self.s, dtype=float)
+        s = frozen(self.s)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ShapeMismatch(f"Pbar must be square, got {P.shape}")
         n = P.shape[0]
         if s.shape != (n,):
             raise ShapeMismatch(f"s must have length {n}, got {s.shape}")
         clamped = np.maximum(P, 0.0)  # the one copy of the caller's matrix
-        rows, cols, vals = _support(P)
-        if not np.all(np.isfinite(vals)):
+        S = scan(P)
+        if not np.all(np.isfinite(S.vals)):
             raise InvalidProblem("Pbar entries must be finite")
-        if vals.size and float(vals.min()) < -_STOCHASTIC_TOL:
+        if S.vals.size and float(S.vals.min()) < -_STOCHASTIC_TOL:
             raise InvalidProblem("Pbar entries must be nonnegative")
-        kept = vals > 0.0
-        rows, cols, vals = rows[kept], cols[kept], vals[kept]
-        colsums = _colsums(cols, vals, n)
-        if np.any(np.abs(colsums - 1.0) > _STOCHASTIC_TOL):
-            worst = int(np.argmax(np.abs(colsums - 1.0)))
+        kept = S.vals > 0.0
+        S = Support(S.shape, S.rows[kept], S.cols[kept], S.vals[kept])
+        sums = colsums(S.cols, S.vals, n)
+        if np.any(np.abs(sums - 1.0) > _STOCHASTIC_TOL):
+            worst = int(np.argmax(np.abs(sums - 1.0)))
             raise InvalidProblem(
-                f"column {worst} of Pbar sums to {float(colsums[worst])!r}, not 1"
+                f"column {worst} of Pbar sums to {float(sums[worst])!r}, not 1"
             )
         if not np.all(np.isfinite(s)):
             raise InvalidProblem("stage cost s must be finite")
@@ -118,8 +93,12 @@ class LdpProblem:
         goals = tuple(sorted(set(int(g) for g in self.goals)))
         if goals and (goals[0] < 0 or goals[-1] >= n):
             raise InvalidProblem(f"goal ids must lie in [0, {n}), got {goals}")
-        _freeze(self, Pbar=clamped, s=s, _rows=rows, _cols=cols, _vals=vals)
+        for a in (clamped, *S[1:]):
+            a.setflags(write=False)
+        object.__setattr__(self, "Pbar", clamped)
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "goals", goals)
+        object.__setattr__(self, "_Pbar", S)
 
     @property
     def n(self) -> int:
@@ -131,7 +110,9 @@ class ReducedLdp:
     """Goal-free substochastic system: Pbar_r, goal-mass vector, positive cost.
 
     Column i of Pbar_r plus (pbar_g)_i must sum to one: the missing mass is
-    exactly what flows into the (removed) goal states.
+    exactly what flows into the (removed) goal states.  Pbar_r is a dense
+    matrix or its support (as `reduce` passes it); the attribute is the
+    read-only dense matrix either way, and the solvers read the support.
     """
 
     Pbar_r: np.ndarray
@@ -139,9 +120,10 @@ class ReducedLdp:
     s_r: np.ndarray
 
     def __post_init__(self):
-        P = np.array(self.Pbar_r, dtype=float)
-        g = np.array(self.pbar_g, dtype=float)
-        s = np.array(self.s_r, dtype=float)
+        S = self.Pbar_r if isinstance(self.Pbar_r, Support) else None
+        P = frozen(self.Pbar_r) if S is None else dense(S)
+        g = frozen(self.pbar_g)
+        s = frozen(self.s_r)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ShapeMismatch(f"Pbar_r must be square, got {P.shape}")
         n = P.shape[0]
@@ -149,27 +131,27 @@ class ReducedLdp:
             raise ShapeMismatch(
                 f"pbar_g and s_r must have length {n}, got {g.shape} and {s.shape}"
             )
-        _adopt(self, P, g, s, _support(P))
+        S = scan(P) if S is None else S
+        if not (np.all(np.isfinite(S.vals)) and np.all(np.isfinite(g))):
+            raise InvalidProblem("reduced transitions must be finite")
+        if (S.vals.size and float(S.vals.min()) < 0.0) or np.any(g < 0):
+            raise InvalidProblem("reduced transitions must be nonnegative")
+        if np.any(np.abs(colsums(S.cols, S.vals, n) + g - 1.0) > _STOCHASTIC_TOL):
+            raise InvalidProblem("each column of Pbar_r plus its goal mass must sum to 1")
+        if not np.all(np.isfinite(s)):
+            raise InvalidProblem("reduced stage cost must be finite")
+        if np.any(s < 0):
+            raise InvalidProblem("reduced stage cost must be nonnegative")
+        for a in (P, *S[1:]):
+            a.setflags(write=False)
+        object.__setattr__(self, "Pbar_r", P)
+        object.__setattr__(self, "pbar_g", g)
+        object.__setattr__(self, "s_r", s)
+        object.__setattr__(self, "_Pbar_r", S)
 
     @property
     def n_r(self) -> int:
         return self.Pbar_r.shape[0]
-
-
-def _adopt(r: ReducedLdp, P, g, s, support) -> None:
-    """Check a reduced system on its support and store it, read-only, in r."""
-    rows, cols, vals = support
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(g))):
-        raise InvalidProblem("reduced transitions must be finite")
-    if (vals.size and float(vals.min()) < 0.0) or np.any(g < 0):
-        raise InvalidProblem("reduced transitions must be nonnegative")
-    if np.any(np.abs(_colsums(cols, vals, g.size) + g - 1.0) > _STOCHASTIC_TOL):
-        raise InvalidProblem("each column of Pbar_r plus its goal mass must sum to 1")
-    if not np.all(np.isfinite(s)):
-        raise InvalidProblem("reduced stage cost must be finite")
-    if np.any(s < 0):
-        raise InvalidProblem("reduced stage cost must be nonnegative")
-    _freeze(r, Pbar_r=P, pbar_g=g, s_r=s, _rows=rows, _cols=cols, _vals=vals)
 
 
 @dataclass
@@ -181,21 +163,17 @@ class LdpSolution:
     bellman_residual: float
 
 
-def _reaches(rows: np.ndarray, cols: np.ndarray, sources: np.ndarray) -> np.ndarray:
+def _reaches(S: Support, sources: np.ndarray) -> np.ndarray:
     """Mask of states with a support path into the mask ``sources``.
 
-    (rows, cols) is a row-major support and i -> j iff (j, i) is in it, so
-    row j lists the states that step into j.  Each level gathers the rows of
-    the frontier through the row pointer: O(nnz) work in all.
+    i -> j iff (j, i) is in S, so row j of S lists the states that step into
+    j.  Each level gathers the rows of the frontier: O(nnz) work in all.
     """
-    ptr = np.searchsorted(rows, np.arange(sources.size + 1))
+    ptr = row_pointer(S)
     reached = sources.copy()
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        start = ptr[frontier]
-        count = ptr[frontier + 1] - start
-        offset = np.repeat(start - (np.cumsum(count) - count), count)
-        into = cols[offset + np.arange(offset.size)]
+        into = S.cols[row_entries(ptr, frontier)[0]]
         frontier = np.unique(into[~reached[into]])
         reached[frontier] = True
     return reached
@@ -211,12 +189,12 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     if not p.goals:
         raise NoGoal("the goal set is empty")
     goals = np.array(p.goals)
-    rows, cols, vals = p._rows, p._cols, p._vals
+    _, rows, cols, vals = S = p._Pbar
     is_goal = np.zeros(p.n, dtype=bool)
     is_goal[goals] = True
     # a goal's own diagonal entry is left out so its 1.0 cannot cancel a leak
     out = is_goal[cols] & (rows != cols)
-    leak = _colsums(cols[out], vals[out], p.n)[goals]
+    leak = colsums(cols[out], vals[out], p.n)[goals]
     costly = p.s[goals] != 0.0
     bad = np.flatnonzero(costly | (leak > _STOCHASTIC_TOL))
     if bad.size:
@@ -231,19 +209,17 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     if free.size:
         raise InvalidProblem(f"non-goal state {free[0]} must have strictly positive cost")
 
-    stuck = np.flatnonzero(~_reaches(rows, cols, is_goal))
+    stuck = np.flatnonzero(~_reaches(S, is_goal))
     if stuck.size:
         raise GoalUnreachable(f"states {stuck.tolist()} cannot reach any goal under Pbar")
 
     idx = np.flatnonzero(nongoal)
     to_goal = is_goal[rows]
-    pbar_g = _colsums(cols[to_goal], vals[to_goal], p.n)[idx]
+    pbar_g = colsums(cols[to_goal], vals[to_goal], p.n)[idx]
     inner = nongoal[rows] & nongoal[cols]
     pos = np.cumsum(nongoal) - 1  # reduced index of each non-goal state
-    support = (pos[rows[inner]], pos[cols[inner]], vals[inner])
-    r = object.__new__(ReducedLdp)  # the support is known: no copy, no rescan
-    _adopt(r, _scatter(idx.size, *support), pbar_g, p.s[idx], support)
-    return r
+    reduced = Support((idx.size, idx.size), pos[rows[inner]], pos[cols[inner]], vals[inner])
+    return ReducedLdp(Pbar_r=reduced, pbar_g=pbar_g, s_r=p.s[idx])
 
 
 def _desirability_step(r: ReducedLdp):
@@ -253,8 +229,7 @@ def _desirability_step(r: ReducedLdp):
     the solution.
     """
     g = np.exp(-r.s_r)
-    rows, cols, vals = r._rows, r._cols, r._vals
-    return lambda z: (g * (_colsums(cols, vals * z[rows], r.n_r) + r.pbar_g), None)
+    return lambda z: (g * (tdot(r._Pbar_r, z) + r.pbar_g), None)
 
 
 def solve_desirability(
@@ -273,11 +248,11 @@ def solve_desirability(
     """
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter_ns()
-    rows, cols, vals = r._rows, r._cols, r._vals
+    _, rows, cols, vals = S = r._Pbar_r
     n = r.n_r
     deficient = (r.s_r > 0.0) | (r.pbar_g > 0.0)
     if not deficient.all():
-        closed = np.flatnonzero(~_reaches(rows, cols, deficient))
+        closed = np.flatnonzero(~_reaches(S, deficient))
         if closed.size:
             raise SingularSystem(
                 f"rho(G Pbar_r^T) = 1: states {closed.tolist()} never reach the goal"
@@ -287,11 +262,11 @@ def solve_desirability(
     rhs = g * r.pbar_g
 
     def affine_residual(z: np.ndarray) -> float:
-        return float(np.abs(z - (_colsums(cols, gp * z[rows], n) + rhs)).max(initial=0.0))
+        return float(np.abs(z - (colsums(cols, gp * z[rows], n) + rhs)).max(initial=0.0))
 
     # I - G P̄_r^T rounded as np.eye(n) - G P̄_r^T rounds it: 0.0 - x off the
     # diagonal (+0.0 where x underflows) and 1.0 - x on it
-    M = _scatter(n, cols, rows, 0.0 - gp)
+    M = dense(Support((n, n), cols, rows, 0.0 - gp))
     M.reshape(-1)[:: n + 1] += 1.0
     z = None
     try:
@@ -336,10 +311,10 @@ def optimal_policy(r: ReducedLdp, lam: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"lam must have length {r.n_r}, got {lam.shape}")
     if lam.size and not np.all(np.isfinite(lam)):
         raise InvalidProblem("lam must be finite")
-    rows, cols = r._rows, r._cols
-    w = r._vals * np.exp(-lam)[rows]
-    denom = _colsums(cols, w, r.n_r) + r.pbar_g
-    return _scatter(r.n_r, rows, cols, w / denom[cols])
+    S = r._Pbar_r
+    w = S.vals * np.exp(-lam)[S.rows]
+    denom = colsums(S.cols, w, r.n_r) + r.pbar_g
+    return dense(S._replace(vals=w / denom[S.cols]))
 
 
 def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
@@ -353,7 +328,7 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.shape != (r.n_r, r.n_r):
         raise ShapeMismatch(f"P must be {r.n_r} x {r.n_r}, got {P.shape}")
-    rows, cols, vals = _support(P)
+    _, rows, cols, vals = scan(P)
     if vals.size and float(vals.min()) < -_STOCHASTIC_TOL:
         raise InvalidProblem("P entries must be nonnegative")
     if not np.all(np.isfinite(vals)):
@@ -366,7 +341,7 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
         raise SupportViolation(
             "P places mass where Pbar_r has none (infinite divergence)"
         )
-    goal_mass = 1.0 - _colsums(cols, vals, r.n_r)
+    goal_mass = 1.0 - colsums(cols, vals, r.n_r)
     if np.any(goal_mass < -_STOCHASTIC_TOL):
         raise InvalidProblem("columns of P must be substochastic")
     off_support_goal = (r.pbar_g == 0.0) & (np.abs(goal_mass) > _STOCHASTIC_TOL)
@@ -377,7 +352,7 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
             "Pbar_r gives that state no goal transition"
         )
 
-    kl = _colsums(cols, vals * np.log(vals / pbar), r.n_r)
+    kl = colsums(cols, vals * np.log(vals / pbar), r.n_r)
     gm = np.maximum(goal_mass, 0.0)
     safe_goal = np.where(r.pbar_g > 0.0, r.pbar_g, 1.0)
     pi = np.where(gm > 0.0, gm * np.log(np.where(gm > 0.0, gm, 1.0) / safe_goal), 0.0)

@@ -29,6 +29,7 @@ from .errors import (
     ShapeMismatch,
     UnstableGain,
 )
+from .sparse import frozen
 
 logger = logging.getLogger("conebellman.lqr")
 
@@ -50,20 +51,14 @@ def _symmetrized(name: str, S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class LqrProblem:
     """Dynamics (A, B) and symmetric weights (Q, R).
 
-    Intake accepts either Q positive definite with R PSD, or Q PSD with R
-    positive definite (the latter with a logged warning: positivity of the
-    converged value matrix is then certified a posteriori rather than
-    guaranteed up front).
+    Every entry must be finite.  Intake accepts either Q positive definite
+    with R PSD, or Q PSD with R positive definite (the latter with a logged
+    warning: positivity of the converged value matrix is then certified a
+    posteriori rather than guaranteed up front).
     """
 
     A: np.ndarray
@@ -72,8 +67,10 @@ class LqrProblem:
     R: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
+        A, B, Q, R = (np.asarray(M, dtype=float) for M in (self.A, self.B, self.Q, self.R))
+        for name, M in zip("ABQR", (A, B, Q, R)):
+            if not np.isfinite(M).all():
+                raise InvalidProblem(f"{name} must be finite")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ShapeMismatch(f"A must be square, got {A.shape}")
         n = A.shape[0]
@@ -82,8 +79,8 @@ class LqrProblem:
         if B.ndim != 2 or B.shape[0] != n:
             raise ShapeMismatch(f"B must be n x m with n={n}, got {B.shape}")
         m = B.shape[1]
-        Q = _symmetrized("Q", np.asarray(self.Q, dtype=float))
-        R = _symmetrized("R", np.asarray(self.R, dtype=float))
+        Q = _symmetrized("Q", Q)
+        R = _symmetrized("R", R)
         if Q.shape != (n, n):
             raise ShapeMismatch(f"Q must be {n} x {n}, got {Q.shape}")
         if R.shape != (m, m):
@@ -107,10 +104,8 @@ class LqrProblem:
                 "need Q > 0 with R >= 0, or Q >= 0 with R > 0 "
                 f"(min eigenvalues: Q {q_min:.3e}, R {r_min:.3e})"
             )
-        object.__setattr__(self, "A", _frozen(A))
-        object.__setattr__(self, "B", _frozen(B))
-        object.__setattr__(self, "Q", _frozen(Q))
-        object.__setattr__(self, "R", _frozen(R))
+        for name, M in zip("ABQR", (A, B, Q, R)):
+            object.__setattr__(self, name, frozen(M))
 
     @property
     def n(self) -> int:

@@ -17,11 +17,9 @@ is a single segmented minimum over the stacked reduced costs,
 
 with no per-block Python call; the gain is built once, at the returned value.
 
-A, B and E are kept as their supports: the nonzero entries in column-major
-order, as row ids, column ids and values (the index arrays of a compressed
-sparse column matrix).  ``A^T lam``, ``B^T lam`` and ``E^T g`` are one
-``np.bincount`` each over the column ids, which adds every column in
-ascending row order, so a sweep is O(nnz).  A dense matrix given to
+A, B and E are kept as their supports (see `sparse`).  ``A^T lam``,
+``B^T lam`` and ``E^T g`` are one column sum each, which adds every column
+in ascending row order, so a sweep is O(nnz).  A dense matrix given to
 SspProblem is scanned once for its support; the dense matrices stay
 readable as attributes.
 
@@ -58,76 +56,9 @@ from .errors import (
     NegativeLambda,
     ShapeMismatch,
 )
-from .ldp import _colsums
+from .sparse import Support, coalesced, colsums, dense, frozen, row_entries, row_pointer, scan, tdot
 
 _LAMBDA_TOL = 1e-10  # slack when checking lam >= 0 (matches cone membership)
-
-
-def _frozen(a, dtype=float) -> np.ndarray:
-    """A read-only copy of a; a read-only array that owns its data is kept.
-
-    A problem rebuilt from another one's dense matrices shares them: copying
-    again costs a page fault per page of the new buffer.
-    """
-    if (
-        isinstance(a, np.ndarray)
-        and a.dtype == dtype
-        and a.base is None
-        and not a.flags.writeable
-    ):
-        return a
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
-class _Support(NamedTuple):
-    """Nonzero entries of a matrix in column-major order (by column, then row)."""
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-
-def _scan(M: np.ndarray) -> _Support:
-    """The support of the dense 2-D M; NaN and infinite entries are in it."""
-    cols, rows = np.nonzero(M.T)
-    return _Support(M.shape, rows, cols, M[rows, cols])
-
-
-def _coalesced(shape, rows, cols, vals) -> _Support:
-    """The support of the matrix whose entries at (rows, cols) add up to vals.
-
-    Entries at one position are added in the order given, so q followed by
-    -p sums to q - p, as a dense scatter of q followed by subtracting p
-    rounds it; a sum that cancels to zero is dropped, as a scan of that
-    dense matrix would drop it.
-    """
-    key = cols * shape[0] + rows
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    first = first.nonzero()[0]
-    sums = np.add.reduceat(vals[order], first) if key.size else vals
-    kept = sums != 0.0
-    cols, rows = np.divmod(key[first[kept]], shape[0])
-    return _Support(shape, rows, cols, sums[kept])
-
-
-def _tdot(S: _Support, x: np.ndarray) -> np.ndarray:
-    """M^T x, each column's entries added in ascending row order."""
-    return _colsums(S.cols, S.vals * x[S.rows], S.shape[1])
-
-
-def _column_entries(S: _Support, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in S of every entry of the given columns, column by column,
-    and how many entries each column has."""
-    lo = np.searchsorted(S.cols, cols, "left")
-    counts = np.searchsorted(S.cols, cols, "right") - lo
-    starts = np.cumsum(counts) - counts
-    return np.repeat(lo - starts, counts) + np.arange(counts.sum()), counts
 
 
 class SspProblem:
@@ -147,8 +78,8 @@ class SspProblem:
     """
 
     def __init__(self, A, B, s, r, block_sizes, E):
-        A, B, E = (M if isinstance(M, _Support) else _frozen(M) for M in (A, B, E))
-        s, r = _frozen(s), _frozen(r)
+        A, B, E = (M if isinstance(M, Support) else frozen(M) for M in (A, B, E))
+        s, r = frozen(s), frozen(r)
         if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
             raise ShapeMismatch(f"A must be square, got {A.shape}")
         n = A.shape[0]
@@ -172,8 +103,8 @@ class SspProblem:
             raise InvalidProblem(
                 f"block_sizes must be nonnegative and sum to m={m}, got {blocks}"
             )
-        dense = {k: M for k, M in zip("ABE", (A, B, E)) if not isinstance(M, _Support)}
-        A, B, E = (M if isinstance(M, _Support) else _scan(M) for M in (A, B, E))
+        given = {k: M for k, M in zip("ABE", (A, B, E)) if not isinstance(M, Support)}
+        A, B, E = (M if isinstance(M, Support) else scan(M) for M in (A, B, E))
         if (A.vals < 0).any():
             raise InvalidProblem("A must be elementwise nonnegative")
         if (s <= 0).any():
@@ -196,11 +127,11 @@ class SspProblem:
         # offsets would make np.minimum.reduceat return a neighbour's entry.
         nonempty = np.flatnonzero(sizes > 0)
         fields = {
-            **dense, "_A": A, "_B": B, "_E": E, "s": s, "r": r, "block_sizes": blocks,
-            "_offsets": _frozen(offsets, dtype=int),
-            "_nonempty": _frozen(nonempty, dtype=int),
-            "_starts": _frozen(offsets[nonempty], dtype=int),
-            "_sizes": _frozen(sizes[nonempty], dtype=int),
+            **given, "_A": A, "_B": B, "_E": E, "s": s, "r": r, "block_sizes": blocks,
+            "_offsets": frozen(offsets, dtype=int),
+            "_nonempty": frozen(nonempty, dtype=int),
+            "_starts": frozen(offsets[nonempty], dtype=int),
+            "_sizes": frozen(sizes[nonempty], dtype=int),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -212,9 +143,7 @@ class SspProblem:
         # only reached for A, B or E not yet built: scatter it from its support
         if name not in ("A", "B", "E"):
             raise AttributeError(name)
-        S = self.__dict__["_" + name]
-        M = np.zeros(S.shape)
-        M[S.rows, S.cols] = S.vals
+        M = dense(self.__dict__["_" + name])
         M.setflags(write=False)
         object.__setattr__(self, name, M)
         return M
@@ -260,13 +189,10 @@ def validate_gain(p: SspProblem, K: np.ndarray) -> bool:
     for k in range(1, int(p._sizes.max(initial=0))):
         longer = p._sizes > k
         budget_use[longer] += K[p._starts[longer] + k]
-    # E - CK on the non-empty blocks, adding E's support onto -CK
+    # E - CK on the non-empty blocks, adding E's budget rows onto -CK
     slack = -budget_use
-    block = np.full(p.n, -1)
-    block[p._nonempty] = np.arange(p._nonempty.size)
-    at = block[p._E.rows]
-    on = at >= 0
-    slack[at[on], p._E.cols[on]] += p._E.vals[on]
+    e, counts = row_entries(row_pointer(p._E), p._nonempty)
+    slack[np.repeat(np.arange(p._nonempty.size), counts), p._E.cols[e]] += p._E.vals[e]
     return bool(np.all(slack >= 0))
 
 
@@ -274,11 +200,11 @@ def _sweep(p: SspProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Bellman sweep: (s + A^T lam + E^T g, reduced costs c at lam)."""
     if lam.size and float(lam.min()) < -_LAMBDA_TOL:
         raise NegativeLambda("value iterate has negative entries")
-    c = p.r + _tdot(p._B, lam)
+    c = p.r + tdot(p._B, lam)
     g = np.zeros(p.n)
     if c.size:
         g[p._nonempty] = np.minimum(np.minimum.reduceat(c, p._starts), 0.0)
-    return p.s + _tdot(p._A, lam) + _tdot(p._E, g), c
+    return p.s + tdot(p._A, lam) + tdot(p._E, g), c
 
 
 def _policy(p: SspProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,19 +223,11 @@ def _policy(p: SspProblem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return jmin[negative], p._nonempty[negative]
 
 
-def _gain_rows(p: SspProblem, rows: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Gain row of each budget entry of E (-1 where its state's block spends none)."""
-    row_of_state = np.full(p.n, -1)
-    row_of_state[states] = rows
-    return row_of_state[p._E.rows]
-
-
 def _gain(p: SspProblem, rows: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The dense m x n gain whose row rows[b] is E's row states[b]."""
     K = np.zeros((p.m, p.n))
-    gain_row = _gain_rows(p, rows, states)
-    on = gain_row >= 0
-    K[gain_row[on], p._E.cols[on]] = p._E.vals[on]
+    e, counts = row_entries(row_pointer(p._E), states)
+    K[np.repeat(rows, counts), p._E.cols[e]] = p._E.vals[e]
     return K
 
 
@@ -341,7 +259,8 @@ def _certify(p: SspProblem, lam: np.ndarray, rows: np.ndarray, states: np.ndarra
     (|M|^T lam)_i / lam_i, and that bound is returned.  Only the columns l
     with some E_il > 0 on a chosen row differ from A; their entries
     A_kl + B_kj E_il are coalesced from the supports, and the rest of the
-    weights are A^T lam.  Every test fails closed on NaN.
+    weights are A^T lam.  Entries at one (k, l) add in ascending j, which
+    is ascending state i.  Every test fails closed on NaN.
     """
     in_block = (p._offsets[states] <= rows) & (rows < p._offsets[states + 1])
     if not (np.all(in_block) and np.all(np.diff(states) > 0)):
@@ -349,25 +268,27 @@ def _certify(p: SspProblem, lam: np.ndarray, rows: np.ndarray, states: np.ndarra
     if lam.size and not float(lam.min()) > 0.0:
         raise CertificationError("converged value vector is not strictly positive")
     A, B, E, n = p._A, p._B, p._E, p.n
-    gain_row = _gain_rows(p, rows, states)
-    on = (gain_row >= 0).nonzero()[0]  # the budget entries K carries
+    ptr = row_pointer(E)
     touched = np.zeros(n, dtype=bool)
-    touched[E.cols[on]] = True
+    touched[E.cols[row_entries(ptr, states)[0]]] = True  # the columns K carries
     a = touched[A.cols].nonzero()[0]
-    b, counts = _column_entries(B, gain_row[on])
-    M = _coalesced(  # the touched columns of A + BK
+    state_of_row = np.full(p.m, -1)
+    state_of_row[rows] = states
+    b = (state_of_row[B.cols] >= 0).nonzero()[0]  # entries of B in K's rows
+    e, counts = row_entries(ptr, state_of_row[B.cols[b]])
+    M = coalesced(  # the touched columns of A + BK
         (n, n),
-        np.concatenate((A.rows[a], B.rows[b])),
-        np.concatenate((A.cols[a], np.repeat(E.cols[on], counts))),
-        np.concatenate((A.vals[a], B.vals[b] * np.repeat(E.vals[on], counts))),
+        np.concatenate((A.rows[a], np.repeat(B.rows[b], counts))),
+        np.concatenate((A.cols[a], E.cols[e])),
+        np.concatenate((A.vals[a], np.repeat(B.vals[b], counts) * E.vals[e])),
     )
     if (M.vals < -_LAMBDA_TOL).any():
         raise CertificationError(
             "closed loop A + BK has negative entries at the optimum; "
             "the budget matrix E does not preserve the orthant"
         )
-    weight = _tdot(A, lam)
-    weight[touched] = _colsums(M.cols, np.abs(M.vals) * lam[M.rows], n)[touched]
+    weight = tdot(A, lam)
+    weight[touched] = colsums(M.cols, np.abs(M.vals) * lam[M.rows], n)[touched]
     rho = float((weight / lam).max(initial=0.0))
     if not rho < 1.0:
         raise CertificationError(f"closed-loop spectral radius bound {rho:.6f} >= 1")
@@ -424,8 +345,14 @@ class GraphEdge(NamedTuple):
     probs: tuple[float, ...]
 
 
-def _edge_error(e: GraphEdge, n_nodes: int, goals: tuple[int, ...]) -> str | None:
-    """The message of the first intake check edge e fails, or None."""
+def _edge_error(
+    e: GraphEdge, n_nodes: int, goals: tuple[int, ...], total: float
+) -> str | None:
+    """The message of the first intake check edge e fails, or None.
+
+    total is the sum of e's probabilities as intake's rule computed it, so
+    the message and the rule agree on it to the last bit.
+    """
     tgts = tuple(int(t) for t in e.targets)
     probs = tuple(float(q) for q in e.probs)
     if not (0 <= e.source < n_nodes):
@@ -440,31 +367,13 @@ def _edge_error(e: GraphEdge, n_nodes: int, goals: tuple[int, ...]) -> str | Non
         return f"edge targets must be distinct, got {tgts}"
     if not all(q > 0 for q in probs):  # NaN is not positive
         return "edge probabilities must be positive"
-    if abs(sum(probs) - 1.0) > 1e-12:  # an infinite probability lands here
-        return f"edge probabilities must sum to 1, got {sum(probs)!r}"
+    if abs(total - 1.0) > 1e-12:  # an infinite probability lands here
+        return f"edge probabilities must sum to 1, got {total!r}"
     if e.cost < 0:
         return f"edge cost must be >= 0, got {e.cost}"
     if not math.isfinite(e.cost):
         return f"edge cost must be finite, got {e.cost}"
     return None
-
-
-def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sum each segment left to right, in the order Python's sum adds a tuple.
-
-    Segments are visited longest first, so the ones with more than j entries
-    form a prefix and step j costs only their count: O(nnz) work plus one
-    step per entry of the longest segment.
-    """
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    longer = lengths.size - np.cumsum(np.bincount(lengths))
-    sums = np.zeros(lengths.size)
-    for j, count in enumerate(longer[:-1]):
-        sums[:count] += values[starts[:count] + j]
-    out = np.empty_like(sums)
-    out[order] = sums
-    return out
 
 
 @dataclass(frozen=True)
@@ -519,10 +428,14 @@ class GraphSsp:
         key = np.sort(tgt_edge * (n + 2) + np.clip(tgt, -1, n) + 1)
         bad[key[1:][key[1:] == key[:-1]] // (n + 2)] = True
         bad[np.repeat(np.arange(k), n_prob)[~(np.isfinite(prob) & (prob > 0))]] = True
-        bad |= np.abs(_segment_sums(prob, n_prob) - 1.0) > 1e-12
+        # each edge's probabilities add left to right, as Python's sum did
+        # before 3.12 (from 3.12 it compensates, so it may round otherwise)
+        total = colsums(np.repeat(np.arange(k), n_prob), prob, k)
+        bad |= np.abs(total - 1.0) > 1e-12
         bad |= ~np.isfinite(cost) | (cost < 0)
         if bad.any():
-            raise InvalidProblem(_edge_error(edges[int(bad.argmax())], n, goals))
+            first = int(bad.argmax())
+            raise InvalidProblem(_edge_error(edges[first], n, goals, float(total[first])))
 
         s = np.asarray(self.s, dtype=float)
         if s.shape != (n,):
@@ -535,7 +448,7 @@ class GraphSsp:
         np.cumsum(n_tgt, out=ptr[1:])
         object.__setattr__(self, "goals", goals)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "s", _frozen(s))
+        object.__setattr__(self, "s", frozen(s))
         flat = {"_src": src, "_cost": cost, "_ptr": ptr, "_tgt": tgt, "_prob": prob}
         for name, a in flat.items():
             a.setflags(write=False)
@@ -607,7 +520,7 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
 
     # stuck mass keeps a unit self-loop: divergence will report unreachability
     stuck = np.flatnonzero(sizes == 0)
-    A = _coalesced(
+    A = coalesced(
         (n, n),
         np.concatenate((base_row, stuck)),
         np.concatenate((base_block, stuck)),
@@ -619,7 +532,7 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     # each baseline entry is subtracted from every row of its block
     reps = sizes[base_block]
     first = np.repeat(offsets[base_block] - (np.cumsum(reps) - reps), reps)
-    B = _coalesced(
+    B = coalesced(
         (n, k),
         np.concatenate((state[tgt[kept]], np.repeat(base_row, reps))),
         np.concatenate((row_of_edge[entry_edge[kept]], first + np.arange(reps.sum()))),
@@ -627,7 +540,7 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     )
     r = cost[rows] - np.repeat(cost[base], sizes[has])
     diagonal = np.arange(n)
-    E = _Support((n, n), diagonal, diagonal, np.ones(n))
+    E = Support((n, n), diagonal, diagonal, np.ones(n))
     problem = SspProblem(A=A, B=B, s=s, r=r, block_sizes=tuple(sizes.tolist()), E=E)
     return CompiledGraph(
         problem=problem,

@@ -16,6 +16,20 @@ from conebellman import (
 )
 
 
+def test_nan_iterate_diverges_at_once():
+    # a NaN magnitude is not above the cap and a NaN residual never grows,
+    # so without the NaN rule this ran every sweep of max_iter
+    sweeps = []
+
+    def step(lam):
+        sweeps.append(lam)
+        return np.full(2, np.nan), None
+
+    with pytest.raises(Diverged, match="magnitude nan exceeded cap"):
+        fixed_point_solve(step, np.zeros(2), SolveConfig())
+    assert len(sweeps) <= 2
+
+
 def scalar_affine(gain, offset):
     """One orthant coordinate iterating lam <- offset + gain * lam."""
     return lambda lam: (offset + gain * lam, None)

@@ -211,6 +211,76 @@ def test_sample_solutions_match_recorded_digests(tmp_path, monkeypatch):
     assert digests == SAMPLE_SOLUTION_SHA256
 
 
+# SHA-256 of the raw bytes of (lam, K, trace residuals) for graphs and of
+# (lam, z, Pstar, trace residuals) for LDP instances at the benchmark's
+# sizes, recorded before the solvers moved onto one shared support layout.
+# They are computed with one BLAS thread, as the benchmark runs: OpenBLAS
+# rounds the LDP's dense LU differently when it splits it over threads.  A
+# change that alters these bits on purpose updates the digest here and
+# declares the change; another numpy or BLAS build may round differently.
+BENCHMARK_SIZE_SHA256 = {
+    "ssp300": "3eb8d6cf68e9e674800dd1e311ace735a13b36e315d380a1853652d9283da1a7",
+    "chain25": "b2839915cb9f6de8b9d2c677598d59db21e2fa1166d4e335827d2a02f0236970",
+    "ldp700": "b4cab83e1c8b29c041dbb4d1026b6fce0e9718c2599d0a4ddad155719dfbebeb",
+    "ldp300": "840d164ef266fee072042a5b3da5d68175237aabf88be558170eb3a8fc099404",
+}
+
+BENCHMARK_SIZE_DIGESTS = """
+import hashlib, json
+import numpy as np
+from conebellman import compile_graph, solve_ldp, solve_ssp
+from conebellman.generators import random_chain_graph, random_ldp, random_ssp_graph
+
+def sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+digests = {}
+graphs = {
+    "ssp300": random_ssp_graph(300, seed=64, stochastic=True),
+    "chain25": random_chain_graph(25, seed=64),
+}
+for name, g in graphs.items():
+    sol = solve_ssp(compile_graph(g).problem)
+    digests[name] = sha256(sol.lam, sol.K, [t.residual for t in sol.trace])
+for name, (n, seed) in {"ldp700": (700, 64), "ldp300": (300, 2)}.items():
+    sol = solve_ldp(random_ldp(n, seed=seed))
+    digests[name] = sha256(sol.lam, sol.z, sol.Pstar, [t.residual for t in sol.trace])
+print(json.dumps(digests))
+"""
+
+
+def test_benchmark_size_solutions_match_recorded_digests():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", BENCHMARK_SIZE_DIGESTS],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == BENCHMARK_SIZE_SHA256
+
+
+@pytest.mark.parametrize("field, bad", [("A", float("nan")), ("B", float("inf"))])
+def test_solve_non_finite_lqr_data_exits_3(tmp_path, capsys, field, bad):
+    # both used to run the Riccati map and exit 2 ("residual nan still above
+    # tol" after every sweep, and "pivot inf")
+    prob = write_json(tmp_path, "bad.json", dict(LQR_SCALAR, **{field: [[bad]]}))
+    assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 3
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
+
+
 def test_solve_unstabilizable_exits_2(tmp_path):
     prob = write_json(
         tmp_path,

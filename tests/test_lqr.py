@@ -44,6 +44,14 @@ def test_intake_rejects_indefinite_costs():
         LqrProblem(A=[[1.0]], B=[[1.0]], Q=[[0.0]], R=[[0.0]])
 
 
+@pytest.mark.parametrize("field", "ABQR")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_intake_rejects_non_finite_entries(field, bad):
+    data = {"A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], field: [[bad]]}
+    with pytest.raises(InvalidProblem, match=f"^{field} must be finite$"):
+        LqrProblem(**data)
+
+
 def test_intake_warns_on_semidefinite_state_cost(caplog):
     with caplog.at_level("WARNING", logger="conebellman.lqr"):
         LqrProblem(A=[[0.5]], B=[[1.0]], Q=[[0.0]], R=[[1.0]])

@@ -1,5 +1,9 @@
 """Independent brute-force oracles used to cross-check the solvers."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -256,3 +260,25 @@ def test_rollout_argument_validation():
         ldp_rollout(r, sol.Pstar, 0, horizon=0, trials=1, seed=0)
     with pytest.raises(InvalidProblem):
         ldp_rollout(r, sol.Pstar, 5, horizon=10, trials=1, seed=0)
+
+
+def test_oracles_import_nothing_from_the_support_module():
+    # the oracles cross-check the solvers, so they must not run the solvers'
+    # sparse layer: no import of the module, and no name that comes from it
+    path = Path(importlib.import_module("conebellman.oracles").__file__)
+    modules, names = set(), []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), "conebellman"
+            )
+            modules.add(base)
+            names += [(base, alias.name) for alias in node.names]
+    for base, name in names:
+        try:
+            modules.add(importlib.import_module(f"{base}.{name}").__name__)
+        except ImportError:
+            modules.add(getattr(getattr(importlib.import_module(base), name), "__module__", base))
+    assert modules and "conebellman.sparse" not in modules

@@ -1,6 +1,9 @@
 """Stochastic shortest path: Bellman update, gain feasibility, graph frontend."""
 
+import functools
 import json
+import math
+import operator
 import tracemalloc
 from types import SimpleNamespace
 
@@ -452,6 +455,21 @@ def test_graph_intake_rejects_non_finite_edges(edge, message):
     assert str(exc.value) == message
 
 
+def test_graph_intake_message_uses_the_rule_s_own_sum(monkeypatch):
+    # these probabilities add left to right to 1 + 1.00009e-12, which the
+    # rule rejects; a compensated sum (Python's sum from 3.12) gives
+    # 1 + 9.9987e-13, within tolerance, so a message that summed them again
+    # found nothing wrong and intake raised InvalidProblem(None)
+    probs = (0.10977239832091629, 0.5695241963841889, 0.3207034052958947)
+    assert probs[0] + probs[1] + probs[2] - 1.0 > 1e-12 > math.fsum(probs) - 1.0
+    # math.fsum stands in for the compensated sum on older interpreters
+    monkeypatch.setattr(ssp, "sum", math.fsum, raising=False)
+    edge = GraphEdge(0, (1, 2, 3), 1.0, probs)
+    with pytest.raises(InvalidProblem) as exc:
+        GraphSsp(n_nodes=4, goals=(3,), edges=(edge,), s=[0.1, 0.1, 0.1, 0.0])
+    assert str(exc.value) == "edge probabilities must sum to 1, got 1.000000000001"
+
+
 def test_chain_graph_matches_hand_distances():
     comp = compile_graph(chain_graph())
     sol = solve_ssp(comp.problem)
@@ -547,8 +565,9 @@ def _reference_intake(n_nodes, goals, edges, s):
             raise InvalidProblem(f"edge targets must be distinct, got {tgts}")
         if any(q <= 0 for q in probs):
             raise InvalidProblem("edge probabilities must be positive")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise InvalidProblem(f"edge probabilities must sum to 1, got {sum(probs)!r}")
+        total = functools.reduce(operator.add, probs, 0.0)  # left to right on every Python
+        if abs(total - 1.0) > 1e-12:
+            raise InvalidProblem(f"edge probabilities must sum to 1, got {total!r}")
         if e.cost < 0:
             raise InvalidProblem(f"edge cost must be >= 0, got {e.cost}")
         out.append(GraphEdge(int(e.source), tgts, float(e.cost), probs))
@@ -779,11 +798,14 @@ def _dense_validate_gain(d, K):
 def _dense_sweep(d, lam):
     if lam.size and float(lam.min()) < -1e-10:
         raise NegativeLambda("value iterate has negative entries")
-    c = d.r + d.B.T @ lam
+    # column sums in ascending row order, as the solver adds them: a BLAS
+    # matvec can round a reduced cost that is 0 in exact arithmetic to
+    # either side of 0, and so pick another (equally optimal) gain row
+    c = d.r + (d.B * lam[:, None]).sum(axis=0)
     g = np.zeros(d.n)
     if c.size:
         g[d.nonempty] = np.minimum(np.minimum.reduceat(c, d.starts), 0.0)
-    return d.s + d.A.T @ lam + d.E.T @ g, c
+    return d.s + (d.A * lam[:, None]).sum(axis=0) + (d.E * g[:, None]).sum(axis=0), c
 
 
 def _dense_gain(d, c):
@@ -1049,9 +1071,23 @@ def test_identical_actions_tie_to_the_lowest_row():
     assert np.array_equal(np.flatnonzero(sol.K.any(axis=1)), [3])
 
 
+def zero_reduced_cost_tie_graph():
+    """Node 2's third edge has reduced cost 0.25 lam_1 - 0.4 lam_2, which is 0
+    in exact arithmetic at the optimum; a BLAS matvec rounded it below 0."""
+    edges = (
+        GraphEdge(0, (1,), 0.0, (1.0,)),
+        GraphEdge(1, (2,), 0.0, (1.0,)),
+        GraphEdge(2, (2, 3), 0.0, (0.4, 0.6)),
+        GraphEdge(2, (0,), 0.0, (1.0,)),
+        GraphEdge(2, (1, 3), 0.0, (0.25, 0.75)),
+    )
+    return GraphSsp(n_nodes=4, goals=(3,), edges=edges, s=np.array([0.05, 0.05, 0.05, 0.0]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(solvable_graphs())
 @example(identical_actions_graph())
+@example(zero_reduced_cost_tie_graph())
 def test_graphs_compile_and_solve_like_the_dense_reference(g):
     want = _outcome(_dense_compile_graph, g)
     comp = _outcome(compile_graph, g)
@@ -1129,7 +1165,7 @@ def test_nan_certificate_fails_closed(monkeypatch):
     rows, states = np.array([0]), np.array([0])
     with pytest.raises(CertificationError, match="not strictly positive"):
         ssp._certify(p, np.array([np.nan]), rows, states)
-    monkeypatch.setattr(ssp, "_tdot", lambda S, x: np.full(S.shape[1], np.nan))
+    monkeypatch.setattr(ssp, "tdot", lambda S, x: np.full(S.shape[1], np.nan))
     none = np.zeros(0, dtype=int)
     with pytest.raises(CertificationError, match="bound nan >= 1"):
         ssp._certify(p, np.array([3.0]), none, none)
