@@ -337,6 +337,44 @@ def test_solve_non_finite_input_exits_3(tmp_path, capsys, problem, message):
     assert message in capsys.readouterr().err
 
 
+LDP_STUCK = {
+    "type": "ldp",
+    "Pbar": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+    "s": [1.0, 1.0, 0.0],
+    "goals": [2],
+}
+
+
+@pytest.mark.parametrize(
+    "problem, flags, line",
+    [
+        (dict(LDP_SINGLE, goals=[]), [], "the goal set is empty"),
+        (dict(LDP_SINGLE, s=[1.0, 0.5]), [], "goal state 1 has nonzero cost 0.5"),
+        (
+            dict(LDP_SINGLE, Pbar=[[0.5, 0.5], [0.5, 0.5]]),
+            [],
+            "goal state 1 leaks probability 0.5 to other states",
+        ),
+        (LDP_STUCK, [], "states [0] cannot reach any goal under Pbar"),
+        (dict(SSP_RAW, A=[[1.0, 0.0]]), [], "A must be square, got (1, 2)"),
+        (dict(SSP_RAW, s=[1.0, 1.0]), [], "s must have length 1, got (2,)"),
+        (dict(SSP_RAW, A=[[-1.0]]), [], "A must be elementwise nonnegative"),
+        (LDP_SINGLE, ["--trials", "5", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    ],
+    ids=[
+        "ldp-no-goal", "ldp-goal-cost", "ldp-goal-leak", "ldp-unreachable",
+        "ssp-nonsquare", "ssp-s-length", "ssp-negative-A", "verify-negative-seed",
+    ],
+)
+def test_input_error_sites_exit_3_with_their_message(tmp_path, capsys, problem, flags, line):
+    prob = write_json(tmp_path, "bad.json", problem)
+    command = ["verify", prob, *flags] if flags else ["solve", prob, "--out", str(tmp_path)]
+    assert cli.main(command) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: invalid input: {line}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "problem, field",
     [
