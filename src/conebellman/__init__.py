@@ -15,32 +15,16 @@ batch CLI (``conebellman solve|verify``).
 from .engine import (
     FixedPointResult,
     SolveConfig,
-    Step,
     TraceRecord,
     fixed_point_solve,
     spectral_radius,
 )
 from .errors import (
-    BadSeedConfig,
     CertificationError,
-    ConebellmanError,
     Diverged,
-    GoalNotAbsorbing,
-    GoalUnreachable,
     InputError,
-    InvalidProblem,
     MaxIterExceeded,
-    NegativeLambda,
-    NoGoal,
-    NonSquare,
-    NotPositiveDefinite,
-    ShapeMismatch,
-    SingularInnerMatrix,
-    SingularSystem,
     SolveFailure,
-    SupportViolation,
-    UnreachableNode,
-    UnstableGain,
 )
 from .ldp import (
     LdpProblem,
@@ -64,7 +48,6 @@ from .lqr import (
 from .oracles import (
     RolloutStats,
     dijkstra,
-    gauss_jordan_inverse,
     ldp_logsumexp_vi,
     ldp_rollout,
     naive_dare,

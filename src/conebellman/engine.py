@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import Diverged, InvalidProblem, MaxIterExceeded, NonSquare
+from .errors import Diverged, InputError, MaxIterExceeded
 
 logger = logging.getLogger("conebellman.engine")
 
@@ -51,9 +51,9 @@ class SolveConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise InvalidProblem(f"tol must be > 0, got {self.tol}")
+            raise InputError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
-            raise InvalidProblem(f"max_iter must be >= 1, got {self.max_iter}")
+            raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 class TraceRecord(NamedTuple):
@@ -137,5 +137,5 @@ def spectral_radius(M) -> float:
     """Largest modulus of the LAPACK eigenvalues of a square real matrix."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {M.shape}")
+        raise InputError(f"expected a square matrix, got shape {M.shape}")
     return float(np.abs(np.linalg.eigvals(M)).max(initial=0.0))

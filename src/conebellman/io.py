@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, InvalidProblem
+from .errors import InputError
 from .ldp import LdpProblem
 from .lqr import LqrProblem
 from .ssp import CompiledGraph, GraphEdge, GraphSsp, SspProblem, compile_graph
@@ -52,14 +52,14 @@ class ParsedProblem:
 
 def _require(obj: dict, field: str, context: str):
     if field not in obj:
-        raise InvalidProblem(f"{context}: missing required field {field!r}")
+        raise InputError(f"{context}: missing required field {field!r}")
     return obj[field]
 
 
 def _no_extras(obj: dict, allowed: set[str], context: str) -> None:
     extras = sorted(set(obj) - allowed)
     if extras:
-        raise InvalidProblem(
+        raise InputError(
             f"{context}: unknown field(s) {extras}; allowed: {sorted(allowed)}"
         )
 
@@ -76,18 +76,18 @@ def _require_numbers(rows, field: str) -> None:
     """
     if not _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(rows))):
         bad = next(x for x in chain.from_iterable(rows) if type(x) not in _JSON_NUMBERS)
-        raise InvalidProblem(f"field {field!r} holds {bad!r}, which is not a number")
+        raise InputError(f"field {field!r} holds {bad!r}, which is not a number")
 
 
 def _as_matrix(raw, field: str) -> np.ndarray:
     try:
         M = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InvalidProblem(f"field {field!r} is not a numeric matrix: {exc}")
+        raise InputError(f"field {field!r} is not a numeric matrix: {exc}")
     if M.ndim == 1 and M.size == 0:
         M = M.reshape(0, 0)
     if M.ndim != 2:
-        raise InvalidProblem(
+        raise InputError(
             f"field {field!r} must be an array of equal-length rows, got ndim={M.ndim}"
         )
     _require_numbers(raw, field)
@@ -98,9 +98,9 @@ def _as_vector(raw, field: str) -> np.ndarray:
     try:
         v = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InvalidProblem(f"field {field!r} is not a numeric vector: {exc}")
+        raise InputError(f"field {field!r} is not a numeric vector: {exc}")
     if v.ndim != 1:
-        raise InvalidProblem(f"field {field!r} must be a flat array, got ndim={v.ndim}")
+        raise InputError(f"field {field!r} must be a flat array, got ndim={v.ndim}")
     _require_numbers((raw,), field)
     return v
 
@@ -116,29 +116,29 @@ def _convert(kind, raw, field: str, context: str):
     if _is_int(raw) or (kind is float and isinstance(raw, float)):
         return kind(raw)
     what = "an integer node id" if kind is int else "a number"
-    raise InvalidProblem(f"{context}: {field!r} holds {raw!r}, which is not {what}")
+    raise InputError(f"{context}: {field!r} holds {raw!r}, which is not {what}")
 
 
 def _parse_graph(obj: dict) -> GraphSsp:
     _no_extras(obj, {"type", "nodes", "goal", "edges", "s"}, "ssp-graph")
     nodes = _require(obj, "nodes", "ssp-graph")
     if not _is_int(nodes) or nodes < 1:
-        raise InvalidProblem(f"ssp-graph: 'nodes' must be a positive count, got {nodes!r}")
+        raise InputError(f"ssp-graph: 'nodes' must be a positive count, got {nodes!r}")
     raw_goal = _require(obj, "goal", "ssp-graph")
     if _is_int(raw_goal):
         goal = [raw_goal]
     elif isinstance(raw_goal, list):
         goal = [_convert(int, g, "goal", "ssp-graph") for g in raw_goal]
     else:
-        raise InvalidProblem("ssp-graph: 'goal' must be a node id or list of them")
+        raise InputError("ssp-graph: 'goal' must be a node id or list of them")
     raw_edges = _require(obj, "edges", "ssp-graph")
     if not isinstance(raw_edges, list):
-        raise InvalidProblem("ssp-graph: 'edges' must be a list")
+        raise InputError("ssp-graph: 'edges' must be a list")
     edges = []
     for k, e in enumerate(raw_edges):
         ctx = f"ssp-graph edge {k}"
         if not isinstance(e, dict):
-            raise InvalidProblem(f"{ctx}: must be an object")
+            raise InputError(f"{ctx}: must be an object")
         _no_extras(e, {"from", "to", "cost", "prob"}, ctx)
         src = _require(e, "from", ctx)
         to = _require(e, "to", ctx)
@@ -148,18 +148,18 @@ def _parse_graph(obj: dict) -> GraphSsp:
         elif isinstance(to, list):
             targets = tuple(_convert(int, t, "to", ctx) for t in to)
         else:
-            raise InvalidProblem(f"{ctx}: 'to' must be a node id or list of them")
+            raise InputError(f"{ctx}: 'to' must be a node id or list of them")
         if "prob" in e:
             prob = e["prob"]
             if not isinstance(prob, list) or len(prob) != len(targets):
-                raise InvalidProblem(
+                raise InputError(
                     f"{ctx}: 'prob' must be a list matching 'to' ({len(targets)} entries)"
                 )
             probs = tuple(_convert(float, q, "prob", ctx) for q in prob)
         elif len(targets) == 1:
             probs = (1.0,)
         else:
-            raise InvalidProblem(f"{ctx}: 'prob' is required when 'to' lists several nodes")
+            raise InputError(f"{ctx}: 'prob' is required when 'to' lists several nodes")
         edges.append(GraphEdge(
             _convert(int, src, "from", ctx), targets, _convert(float, cost, "cost", ctx), probs
         ))
@@ -170,13 +170,13 @@ def _parse_graph(obj: dict) -> GraphSsp:
 def parse_problem(obj: dict) -> ParsedProblem:
     """Build the typed problem named by obj['type'], with field diagnostics."""
     if not isinstance(obj, dict):
-        raise InvalidProblem(f"problem must be a JSON object, got {type(obj).__name__}")
+        raise InputError(f"problem must be a JSON object, got {type(obj).__name__}")
     kind = _require(obj, "type", "problem")
     if kind == "ssp":
         _no_extras(obj, {"type", "A", "B", "s", "r", "blocks", "E"}, "ssp")
         blocks = _require(obj, "blocks", "ssp")
         if not isinstance(blocks, list) or not all(map(_is_int, blocks)):
-            raise InvalidProblem("ssp: 'blocks' must be a list of integers")
+            raise InputError("ssp: 'blocks' must be a list of integers")
         problem = SspProblem(
             A=_as_matrix(_require(obj, "A", "ssp"), "A"),
             B=_as_matrix(_require(obj, "B", "ssp"), "B"),
@@ -205,14 +205,14 @@ def parse_problem(obj: dict) -> ParsedProblem:
         _no_extras(obj, {"type", "Pbar", "s", "goals"}, "ldp")
         goals = _require(obj, "goals", "ldp")
         if not isinstance(goals, list):
-            raise InvalidProblem("ldp: 'goals' must be a list of state ids")
+            raise InputError("ldp: 'goals' must be a list of state ids")
         problem = LdpProblem(
             Pbar=_as_matrix(_require(obj, "Pbar", "ldp"), "Pbar"),
             s=_as_vector(_require(obj, "s", "ldp"), "s"),
             goals=tuple(_convert(int, g, "goals", "ldp") for g in goals),
         )
         return ParsedProblem(kind="ldp", problem=problem)
-    raise InvalidProblem(
+    raise InputError(
         f"unknown problem type {kind!r}; expected one of {list(PROBLEM_TYPES)}"
     )
 
@@ -224,7 +224,7 @@ def load_problem(path: str) -> ParsedProblem:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise InvalidProblem(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}")
+        raise InputError(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}")
     return parse_problem(obj)
 
 

@@ -35,16 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import SolveConfig, TraceRecord, fixed_point_solve
-from .errors import (
-    CertificationError,
-    GoalNotAbsorbing,
-    GoalUnreachable,
-    InvalidProblem,
-    NoGoal,
-    ShapeMismatch,
-    SingularSystem,
-    SupportViolation,
-)
+from .errors import CertificationError, InputError, SolveFailure
 from .sparse import Support, colsums, dense, frozen, row_entries, row_pointer, scan, tdot
 
 _STOCHASTIC_TOL = 1e-12
@@ -68,31 +59,31 @@ class LdpProblem:
         P = np.asarray(self.Pbar, dtype=float)
         s = frozen(self.s)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ShapeMismatch(f"Pbar must be square, got {P.shape}")
+            raise InputError(f"Pbar must be square, got {P.shape}")
         n = P.shape[0]
         if s.shape != (n,):
-            raise ShapeMismatch(f"s must have length {n}, got {s.shape}")
+            raise InputError(f"s must have length {n}, got {s.shape}")
         clamped = np.maximum(P, 0.0)  # the one copy of the caller's matrix
         S = scan(P)
         if not np.all(np.isfinite(S.vals)):
-            raise InvalidProblem("Pbar entries must be finite")
+            raise InputError("Pbar entries must be finite")
         if S.vals.size and float(S.vals.min()) < -_STOCHASTIC_TOL:
-            raise InvalidProblem("Pbar entries must be nonnegative")
+            raise InputError("Pbar entries must be nonnegative")
         kept = S.vals > 0.0
         S = Support(S.shape, S.rows[kept], S.cols[kept], S.vals[kept])
         sums = colsums(S.cols, S.vals, n)
         if np.any(np.abs(sums - 1.0) > _STOCHASTIC_TOL):
             worst = int(np.argmax(np.abs(sums - 1.0)))
-            raise InvalidProblem(
+            raise InputError(
                 f"column {worst} of Pbar sums to {float(sums[worst])!r}, not 1"
             )
         if not np.all(np.isfinite(s)):
-            raise InvalidProblem("stage cost s must be finite")
+            raise InputError("stage cost s must be finite")
         if np.any(s < 0):
-            raise InvalidProblem("stage cost s must be nonnegative")
+            raise InputError("stage cost s must be nonnegative")
         goals = tuple(sorted(set(int(g) for g in self.goals)))
         if goals and (goals[0] < 0 or goals[-1] >= n):
-            raise InvalidProblem(f"goal ids must lie in [0, {n}), got {goals}")
+            raise InputError(f"goal ids must lie in [0, {n}), got {goals}")
         for a in (clamped, *S[1:]):
             a.setflags(write=False)
         object.__setattr__(self, "Pbar", clamped)
@@ -125,23 +116,23 @@ class ReducedLdp:
         g = frozen(self.pbar_g)
         s = frozen(self.s_r)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ShapeMismatch(f"Pbar_r must be square, got {P.shape}")
+            raise InputError(f"Pbar_r must be square, got {P.shape}")
         n = P.shape[0]
         if g.shape != (n,) or s.shape != (n,):
-            raise ShapeMismatch(
+            raise InputError(
                 f"pbar_g and s_r must have length {n}, got {g.shape} and {s.shape}"
             )
         S = scan(P) if S is None else S
         if not (np.all(np.isfinite(S.vals)) and np.all(np.isfinite(g))):
-            raise InvalidProblem("reduced transitions must be finite")
+            raise InputError("reduced transitions must be finite")
         if (S.vals.size and float(S.vals.min()) < 0.0) or np.any(g < 0):
-            raise InvalidProblem("reduced transitions must be nonnegative")
+            raise InputError("reduced transitions must be nonnegative")
         if np.any(np.abs(colsums(S.cols, S.vals, n) + g - 1.0) > _STOCHASTIC_TOL):
-            raise InvalidProblem("each column of Pbar_r plus its goal mass must sum to 1")
+            raise InputError("each column of Pbar_r plus its goal mass must sum to 1")
         if not np.all(np.isfinite(s)):
-            raise InvalidProblem("reduced stage cost must be finite")
+            raise InputError("reduced stage cost must be finite")
         if np.any(s < 0):
-            raise InvalidProblem("reduced stage cost must be nonnegative")
+            raise InputError("reduced stage cost must be nonnegative")
         for a in (P, *S[1:]):
             a.setflags(write=False)
         object.__setattr__(self, "Pbar_r", P)
@@ -187,7 +178,7 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     state can reach some goal through the support of P̄.
     """
     if not p.goals:
-        raise NoGoal("the goal set is empty")
+        raise InputError("the goal set is empty")
     goals = np.array(p.goals)
     _, rows, cols, vals = S = p._Pbar
     is_goal = np.zeros(p.n, dtype=bool)
@@ -200,18 +191,18 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     if bad.size:
         k, g = bad[0], goals[bad[0]]
         if costly[k]:
-            raise GoalNotAbsorbing(f"goal state {g} has nonzero cost {float(p.s[g])!r}")
-        raise GoalNotAbsorbing(
+            raise InputError(f"goal state {g} has nonzero cost {float(p.s[g])!r}")
+        raise InputError(
             f"goal state {g} leaks probability {float(leak[k])!r} to other states"
         )
     nongoal = ~is_goal
     free = np.flatnonzero(nongoal & (p.s <= 0.0))
     if free.size:
-        raise InvalidProblem(f"non-goal state {free[0]} must have strictly positive cost")
+        raise InputError(f"non-goal state {free[0]} must have strictly positive cost")
 
     stuck = np.flatnonzero(~_reaches(S, is_goal))
     if stuck.size:
-        raise GoalUnreachable(f"states {stuck.tolist()} cannot reach any goal under Pbar")
+        raise InputError(f"states {stuck.tolist()} cannot reach any goal under Pbar")
 
     idx = np.flatnonzero(nongoal)
     to_goal = is_goal[rows]
@@ -241,7 +232,7 @@ def solve_desirability(
     exp(-s_i)(1 - (p̄_g)_i) <= 1, strictly less at a deficient state (s_i > 0
     or (p̄_g)_i > 0), and then rho < 1 iff every state has a support path to
     a deficient one (absorbing chains; Berman & Plemmons, Nonnegative Matrices
-    in the Mathematical Sciences, ch. 6), else SingularSystem.  Then the direct
+    in the Mathematical Sciences, ch. 6), else SolveFailure.  Then the direct
     solve of (I - G P̄_r^T) z = G p̄_g, or, if that fails or leaves a residual
     at or above tol, the affine map iterated from z0 = 0.  Certifies the final
     residual below tol and z in (0, 1].
@@ -254,7 +245,7 @@ def solve_desirability(
     if not deficient.all():
         closed = np.flatnonzero(~_reaches(S, deficient))
         if closed.size:
-            raise SingularSystem(
+            raise SolveFailure(
                 f"rho(G Pbar_r^T) = 1: states {closed.tolist()} never reach the goal"
             )
     g = np.exp(-r.s_r)
@@ -308,9 +299,9 @@ def optimal_policy(r: ReducedLdp, lam: np.ndarray) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (r.n_r,):
-        raise ShapeMismatch(f"lam must have length {r.n_r}, got {lam.shape}")
+        raise InputError(f"lam must have length {r.n_r}, got {lam.shape}")
     if lam.size and not np.all(np.isfinite(lam)):
-        raise InvalidProblem("lam must be finite")
+        raise InputError("lam must be finite")
     S = r._Pbar_r
     w = S.vals * np.exp(-lam)[S.rows]
     denom = colsums(S.cols, w, r.n_r) + r.pbar_g
@@ -327,27 +318,27 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
     """
     P = np.asarray(P, dtype=float)
     if P.shape != (r.n_r, r.n_r):
-        raise ShapeMismatch(f"P must be {r.n_r} x {r.n_r}, got {P.shape}")
+        raise InputError(f"P must be {r.n_r} x {r.n_r}, got {P.shape}")
     _, rows, cols, vals = scan(P)
     if vals.size and float(vals.min()) < -_STOCHASTIC_TOL:
-        raise InvalidProblem("P entries must be nonnegative")
+        raise InputError("P entries must be nonnegative")
     if not np.all(np.isfinite(vals)):
-        raise InvalidProblem("P entries must be finite")
+        raise InputError("P entries must be finite")
     # entries clamped to zero leave the support
     kept = vals >= 0.0
     rows, cols, vals = rows[kept], cols[kept], vals[kept]
     pbar = r.Pbar_r[rows, cols]
     if np.any(pbar == 0.0):
-        raise SupportViolation(
+        raise InputError(
             "P places mass where Pbar_r has none (infinite divergence)"
         )
     goal_mass = 1.0 - colsums(cols, vals, r.n_r)
     if np.any(goal_mass < -_STOCHASTIC_TOL):
-        raise InvalidProblem("columns of P must be substochastic")
+        raise InputError("columns of P must be substochastic")
     off_support_goal = (r.pbar_g == 0.0) & (np.abs(goal_mass) > _STOCHASTIC_TOL)
     if np.any(off_support_goal):
         bad = int(np.argmax(off_support_goal))
-        raise SupportViolation(
+        raise InputError(
             f"column {bad} sends mass {goal_mass[bad]!r} to the goal but "
             "Pbar_r gives that state no goal transition"
         )
@@ -363,7 +354,7 @@ def verify_bellman(r: ReducedLdp, lam: np.ndarray, Pstar: np.ndarray) -> float:
     """Sup-norm defect of (lam, Pstar) in lam = h(Pstar) + Pstar^T lam."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (r.n_r,):
-        raise ShapeMismatch(f"lam must have length {r.n_r}, got {lam.shape}")
+        raise InputError(f"lam must have length {r.n_r}, got {lam.shape}")
     h = kl_stage_cost(r, Pstar)
     return float(np.abs(lam - (h + np.asarray(Pstar).T @ lam)).max(initial=0.0))
 

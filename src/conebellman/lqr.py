@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SolveConfig, TraceRecord, fixed_point_solve, spectral_radius
-from .errors import (
-    CertificationError,
-    InvalidProblem,
-    MaxIterExceeded,
-    NotPositiveDefinite,
-    ShapeMismatch,
-    UnstableGain,
-)
+from .errors import CertificationError, InputError, MaxIterExceeded, SolveFailure
 from .sparse import frozen
 
 logger = logging.getLogger("conebellman.lqr")
@@ -44,10 +37,10 @@ _LYAPUNOV_MAX_DOUBLINGS = 64
 
 def _symmetrized(name: str, S: np.ndarray) -> np.ndarray:
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got {S.shape}")
+        raise InputError(f"{name} must be square, got {S.shape}")
     scale = max(1.0, float(np.max(np.abs(S))) if S.size else 0.0)
     if S.size and float(np.max(np.abs(S - S.T))) > SYMMETRY_TOL * scale:
-        raise ShapeMismatch(f"{name} must be symmetric")
+        raise InputError(f"{name} must be symmetric")
     return 0.5 * (S + S.T)
 
 
@@ -70,21 +63,21 @@ class LqrProblem:
         A, B, Q, R = (np.asarray(M, dtype=float) for M in (self.A, self.B, self.Q, self.R))
         for name, M in zip("ABQR", (A, B, Q, R)):
             if not np.isfinite(M).all():
-                raise InvalidProblem(f"{name} must be finite")
+                raise InputError(f"{name} must be finite")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ShapeMismatch(f"A must be square, got {A.shape}")
+            raise InputError(f"A must be square, got {A.shape}")
         n = A.shape[0]
         if n < 1:
-            raise ShapeMismatch("A must have at least one state, got shape (0, 0)")
+            raise InputError("A must have at least one state, got shape (0, 0)")
         if B.ndim != 2 or B.shape[0] != n:
-            raise ShapeMismatch(f"B must be n x m with n={n}, got {B.shape}")
+            raise InputError(f"B must be n x m with n={n}, got {B.shape}")
         m = B.shape[1]
         Q = _symmetrized("Q", Q)
         R = _symmetrized("R", R)
         if Q.shape != (n, n):
-            raise ShapeMismatch(f"Q must be {n} x {n}, got {Q.shape}")
+            raise InputError(f"Q must be {n} x {n}, got {Q.shape}")
         if R.shape != (m, m):
-            raise ShapeMismatch(f"R must be {m} x {m}, got {R.shape}")
+            raise InputError(f"R must be {m} x {m}, got {R.shape}")
         q_min = float(np.linalg.eigvalsh(Q)[0])
         r_min = float(np.linalg.eigvalsh(R)[0]) if m else 0.0
         # the iteration starts from Q, so Q must also lie in the PSD cone to
@@ -100,7 +93,7 @@ class LqrProblem:
                 q_min,
             )
         else:
-            raise InvalidProblem(
+            raise InputError(
                 "need Q > 0 with R >= 0, or Q >= 0 with R > 0 "
                 f"(min eigenvalues: Q {q_min:.3e}, R {r_min:.3e})"
             )
@@ -134,12 +127,12 @@ def _riccati_core(p: LqrProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
         try:
             diag = np.linalg.cholesky(S).diagonal()
         except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("R + B^T lam B is not positive definite") from None
+            raise SolveFailure("R + B^T lam B is not positive definite") from None
         # LAPACK's pivots are the squared diagonal of L
         floor = 1e-14 * np.abs(S).max()
         if diag.min() ** 2 <= floor:
             j = int(diag.argmin())
-            raise NotPositiveDefinite(
+            raise SolveFailure(
                 f"pivot {diag[j] ** 2:.6e} at column {j} (threshold {floor:.6e})"
             )
     K = -np.linalg.solve(S, G)
@@ -150,14 +143,14 @@ def _riccati_core(p: LqrProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def riccati_step(p: LqrProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Riccati map evaluation: lam' = Q + A^T lam A + G^T K, K = -S^{-1} G.
 
-    S = R + B^T lam B must be positive definite: NotPositiveDefinite is
+    S = R + B^T lam B must be positive definite: SolveFailure is
     raised when its Cholesky factorization fails or its smallest pivot is at
     or below 1e-14 * max|S|.  The result is symmetrized on emit, and repeated
     calls with the same input are bitwise reproducible.
     """
     lam = _symmetrized("lam", np.asarray(lam, dtype=float))
     if lam.shape != (p.n, p.n):
-        raise ShapeMismatch(f"lam must be {p.n} x {p.n}, got {lam.shape}")
+        raise InputError(f"lam must be {p.n} x {p.n}, got {lam.shape}")
     return _riccati_core(p, lam)
 
 
@@ -217,14 +210,14 @@ def cost_of_gain(p: LqrProblem, K: np.ndarray, x0: np.ndarray) -> float:
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (p.m, p.n):
-        raise ShapeMismatch(f"gain must be {p.m} x {p.n}, got {K.shape}")
+        raise InputError(f"gain must be {p.m} x {p.n}, got {K.shape}")
     x0 = _symmetrized("x0", np.asarray(x0, dtype=float))
     if x0.shape != (p.n, p.n):
-        raise ShapeMismatch(f"x0 must be {p.n} x {p.n}, got {x0.shape}")
+        raise InputError(f"x0 must be {p.n} x {p.n}, got {x0.shape}")
     power = p.A + p.B @ K
     rho = spectral_radius(power)
     if not rho < 1.0:
-        raise UnstableGain(f"spectral radius of A + BK is {rho:.6f} >= 1")
+        raise InputError(f"spectral radius of A + BK is {rho:.6f} >= 1")
     lam = p.Q + K.T @ p.R @ K
     for _ in range(_LYAPUNOV_MAX_DOUBLINGS):
         lam_next = lam + power.T @ lam @ power

@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadSeedConfig,
-    Diverged,
-    InvalidProblem,
-    MaxIterExceeded,
-    ShapeMismatch,
-    SingularInnerMatrix,
-    UnreachableNode,
-)
+from .errors import Diverged, InputError, MaxIterExceeded, SolveFailure
 from .ldp import ReducedLdp, kl_stage_cost
 from .lqr import LqrProblem
 from .ssp import GraphSsp, SspProblem
@@ -62,7 +54,7 @@ def dijkstra(g: GraphSsp) -> np.ndarray:
     (s_u + edge cost) + label of the successor; goal labels are zero.
     """
     if not g.is_deterministic():
-        raise InvalidProblem("dijkstra requires single-successor edges")
+        raise InputError("dijkstra requires single-successor edges")
     reverse: list[list[tuple[int, float]]] = [[] for _ in range(g.n_nodes)]
     for e in g.edges:
         reverse[e.targets[0]].append((e.source, e.cost))
@@ -86,7 +78,7 @@ def dijkstra(g: GraphSsp) -> np.ndarray:
                 heapq.heappush(heap, (candidate, u))
     unreachable = [x for x in range(g.n_nodes) if x not in settled]
     if unreachable:
-        raise UnreachableNode(f"no path to any goal from nodes {unreachable}")
+        raise InputError(f"no path to any goal from nodes {unreachable}")
     return dist
 
 
@@ -94,14 +86,14 @@ def gauss_jordan_inverse(S: np.ndarray) -> np.ndarray:
     """Explicit matrix inverse by Gauss-Jordan elimination with partial pivoting."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {S.shape}")
+        raise InputError(f"expected a square matrix, got {S.shape}")
     n = S.shape[0]
     aug = np.hstack([S.copy(), np.eye(n)])
     scale = max(float(np.max(np.abs(S))) if S.size else 0.0, 1.0)
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
         if abs(aug[pivot_row, col]) <= 1e-13 * scale:
-            raise SingularInnerMatrix(f"pivot {aug[pivot_row, col]!r} at column {col}")
+            raise SolveFailure(f"pivot {aug[pivot_row, col]!r} at column {col}")
         if pivot_row != col:
             aug[[col, pivot_row]] = aug[[pivot_row, col]]
         aug[col] = aug[col] / aug[col, col]
@@ -194,15 +186,15 @@ def ldp_rollout(
     ``seed + t``, so results are reproducible and trials are independent.
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise BadSeedConfig(f"seed must be an integer, got {seed!r}")
+        raise InputError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
-        raise BadSeedConfig(f"seed must be nonnegative, got {seed}")
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if trials < 1:
-        raise InvalidProblem(f"trials must be >= 1, got {trials}")
+        raise InputError(f"trials must be >= 1, got {trials}")
     if horizon < 1:
-        raise InvalidProblem(f"horizon must be >= 1, got {horizon}")
+        raise InputError(f"horizon must be >= 1, got {horizon}")
     if not (0 <= start_state < r.n_r):
-        raise InvalidProblem(
+        raise InputError(
             f"start_state must lie in [0, {r.n_r}), got {start_state}"
         )
     Pstar = np.asarray(Pstar, dtype=float)

@@ -50,12 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import SolveConfig, TraceRecord, fixed_point_solve
-from .errors import (
-    CertificationError,
-    InvalidProblem,
-    NegativeLambda,
-    ShapeMismatch,
-)
+from .errors import CertificationError, InputError
 from .sparse import Support, coalesced, colsums, dense, frozen, row_entries, row_pointer, scan, tdot
 
 _LAMBDA_TOL = 1e-10  # slack when checking lam >= 0 (matches cone membership)
@@ -81,42 +76,42 @@ class SspProblem:
         A, B, E = (M if isinstance(M, Support) else frozen(M) for M in (A, B, E))
         s, r = frozen(s), frozen(r)
         if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
-            raise ShapeMismatch(f"A must be square, got {A.shape}")
+            raise InputError(f"A must be square, got {A.shape}")
         n = A.shape[0]
         if n < 1:
-            raise ShapeMismatch("A must have at least one state, got shape (0, 0)")
+            raise InputError("A must have at least one state, got shape (0, 0)")
         if len(B.shape) != 2 or B.shape[0] != n:
-            raise ShapeMismatch(f"B must be n x m with n={n}, got {B.shape}")
+            raise InputError(f"B must be n x m with n={n}, got {B.shape}")
         m = B.shape[1]
         if s.shape != (n,):
-            raise ShapeMismatch(f"s must have length {n}, got {s.shape}")
+            raise InputError(f"s must have length {n}, got {s.shape}")
         if r.shape != (m,):
-            raise ShapeMismatch(f"r must have length {m}, got {r.shape}")
+            raise InputError(f"r must have length {m}, got {r.shape}")
         if E.shape != (n, n):
-            raise ShapeMismatch(f"E must be {n} x {n}, got {E.shape}")
+            raise InputError(f"E must be {n} x {n}, got {E.shape}")
         blocks = tuple(map(int, block_sizes))
         if len(blocks) != n:
-            raise ShapeMismatch(
+            raise InputError(
                 f"block_sizes must have one entry per state ({n}), got {len(blocks)}"
             )
         if min(blocks, default=0) < 0 or sum(blocks) != m:
-            raise InvalidProblem(
+            raise InputError(
                 f"block_sizes must be nonnegative and sum to m={m}, got {blocks}"
             )
         given = {k: M for k, M in zip("ABE", (A, B, E)) if not isinstance(M, Support)}
         A, B, E = (M if isinstance(M, Support) else scan(M) for M in (A, B, E))
         if (A.vals < 0).any():
-            raise InvalidProblem("A must be elementwise nonnegative")
+            raise InputError("A must be elementwise nonnegative")
         if (s <= 0).any():
-            raise InvalidProblem("state cost s must be strictly positive")
+            raise InputError("state cost s must be strictly positive")
         if (r < 0).any():
-            raise InvalidProblem("input cost r must be nonnegative")
+            raise InputError("input cost r must be nonnegative")
         if (E.vals < 0).any():
-            raise InvalidProblem("budget matrix E must be nonnegative")
+            raise InputError("budget matrix E must be nonnegative")
         values = {"A": A.vals, "B": B.vals, "s": s, "r": r, "E": E.vals}
         if not np.isfinite(np.concatenate(tuple(values.values()))).all():
             name = next(k for k, v in values.items() if not np.isfinite(v).all())
-            raise InvalidProblem(f"{name} must be finite")
+            raise InputError(f"{name} must be finite")
         for a in (*A[1:], *B[1:], *E[1:]):
             a.setflags(write=False)
         sizes = np.asarray(blocks, dtype=int)
@@ -177,7 +172,7 @@ def validate_gain(p: SspProblem, K: np.ndarray) -> bool:
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (p.m, p.n):
-        raise ShapeMismatch(f"gain must be {p.m} x {p.n}, got {K.shape}")
+        raise InputError(f"gain must be {p.m} x {p.n}, got {K.shape}")
     if np.any(K < 0):
         return False
     # segment sums: one vectorized step adds the k-th row of every block
@@ -199,7 +194,10 @@ def validate_gain(p: SspProblem, K: np.ndarray) -> bool:
 def _sweep(p: SspProblem, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Bellman sweep: (s + A^T lam + E^T g, reduced costs c at lam)."""
     if lam.size and float(lam.min()) < -_LAMBDA_TOL:
-        raise NegativeLambda("value iterate has negative entries")
+        raise CertificationError(
+            "value iterate has negative entries; "
+            "the budget matrix E does not preserve the orthant"
+        )
     c = p.r + tdot(p._B, lam)
     g = np.zeros(p.n)
     if c.size:
@@ -238,11 +236,13 @@ def bellman_update(p: SspProblem, lam) -> tuple[np.ndarray, np.ndarray]:
     the per-block vertex minimizers.  lam' is bitwise equal to the iterate
     solve_ssp computes from lam, because both run the same sweep, and at
     the value solve_ssp returns K equals its gain bit for bit.  A negative
-    lam from the caller raises NegativeLambda (an input error).
+    lam from the caller is an input error.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (p.n,):
-        raise ShapeMismatch(f"lam must have length {p.n}, got {lam.shape}")
+        raise InputError(f"lam must have length {p.n}, got {lam.shape}")
+    if lam.size and float(lam.min()) < -_LAMBDA_TOL:
+        raise InputError("value iterate has negative entries")
     lam_next, c = _sweep(p, lam)
     return lam_next, _gain(p, *_policy(p, c))
 
@@ -310,13 +310,7 @@ def solve_ssp(p: SspProblem, cfg: SolveConfig | None = None) -> SspSolution:
     matrix); an iterate that leaves the orthant raises CertificationError.
     """
     cfg = cfg or SolveConfig()
-    try:
-        result = fixed_point_solve(lambda lam: _sweep(p, lam), np.zeros(p.n), cfg)
-    except NegativeLambda as exc:
-        raise CertificationError(
-            "value iterate has negative entries; "
-            "the budget matrix E does not preserve the orthant"
-        ) from exc
+    result = fixed_point_solve(lambda lam: _sweep(p, lam), np.zeros(p.n), cfg)
     lam = result.value
     rows, states = _policy(p, result.minimizer)
     rho = _certify(p, lam, rows, states)
@@ -402,12 +396,12 @@ class GraphSsp:
     def __post_init__(self):
         n = self.n_nodes
         if n < 1:
-            raise InvalidProblem("graph needs at least one node")
+            raise InputError("graph needs at least one node")
         goals = tuple(sorted(set(int(g) for g in self.goals)))
         if not goals:
-            raise InvalidProblem("graph needs a non-empty goal set")
+            raise InputError("graph needs a non-empty goal set")
         if goals[0] < 0 or goals[-1] >= n:
-            raise InvalidProblem(f"goal ids must lie in [0, {n}), got {goals}")
+            raise InputError(f"goal ids must lie in [0, {n}), got {goals}")
         edges = tuple(self.edges)
         k = len(edges)
         targets = tuple(map(attrgetter("targets"), edges))
@@ -435,15 +429,15 @@ class GraphSsp:
         bad |= ~np.isfinite(cost) | (cost < 0)
         if bad.any():
             first = int(bad.argmax())
-            raise InvalidProblem(_edge_error(edges[first], n, goals, float(total[first])))
+            raise InputError(_edge_error(edges[first], n, goals, float(total[first])))
 
         s = np.asarray(self.s, dtype=float)
         if s.shape != (n,):
-            raise ShapeMismatch(f"s must have length {n}, got {s.shape}")
+            raise InputError(f"s must have length {n}, got {s.shape}")
         if np.any(s < 0):
-            raise InvalidProblem("node costs must be nonnegative")
+            raise InputError("node costs must be nonnegative")
         if not np.all(np.isfinite(s)):
-            raise InvalidProblem("node costs must be finite")
+            raise InputError("node costs must be finite")
         ptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(n_tgt, out=ptr[1:])
         object.__setattr__(self, "goals", goals)
@@ -492,10 +486,10 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     nongoal_mask[list(g.goals)] = False
     nongoal = np.flatnonzero(nongoal_mask)
     if np.any(g.s[nongoal] <= 0):
-        raise InvalidProblem("node cost s must be > 0 on non-goal nodes")
+        raise InputError("node cost s must be > 0 on non-goal nodes")
     n = nongoal.size
     if n == 0:
-        raise InvalidProblem("graph has no non-goal nodes; nothing to solve")
+        raise InputError("graph has no non-goal nodes; nothing to solve")
     state = np.cumsum(nongoal_mask) - 1  # state of each non-goal node
     src, cost, tgt, prob = g._src, g._cost, g._tgt, g._prob
     k = src.size

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from conebellman import (
     Diverged,
-    InvalidProblem,
+    InputError,
     MaxIterExceeded,
-    NonSquare,
     SolveConfig,
     fixed_point_solve,
     spectral_radius,
@@ -51,9 +50,9 @@ def zeros1():
 
 
 def test_solve_config_validation():
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="tol must be > 0, got 0.0"):
         SolveConfig(tol=0.0)
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="max_iter must be >= 1, got 0"):
         SolveConfig(max_iter=0)
 
 
@@ -169,7 +168,7 @@ def test_spectral_radius_permutation_cycle():
 
 
 def test_spectral_radius_rejects_non_square():
-    with pytest.raises(NonSquare):
+    with pytest.raises(InputError, match="expected a square matrix"):
         spectral_radius(np.zeros((2, 3)))
 
 

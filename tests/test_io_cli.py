@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conebellman import InputError, InvalidProblem, cli
+from conebellman import InputError, cli
 from conebellman.generators import random_lqr
 from conebellman.io import (
     dumps_deterministic,
@@ -78,24 +78,24 @@ def test_parse_all_problem_kinds():
 
 
 def test_parse_rejects_unknown_type_and_extras():
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="unknown problem type 'mdp'"):
         parse_problem({"type": "mdp"})
     bad = dict(LQR_SCALAR)
     bad["extra"] = 1
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="lqr: unknown field"):
         parse_problem(bad)
 
 
 def test_parse_reports_missing_field():
     bad = {k: v for k, v in LQR_SCALAR.items() if k != "Q"}
-    with pytest.raises(InvalidProblem, match="Q"):
+    with pytest.raises(InputError, match="lqr: missing required field 'Q'"):
         parse_problem(bad)
 
 
 def test_parse_rejects_ragged_matrix():
     bad = dict(LQR_SCALAR)
     bad["A"] = [[1.0], [2.0, 3.0]]
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="field 'A' is not a numeric matrix"):
         parse_problem(bad)
 
 
@@ -111,7 +111,7 @@ def test_load_problem_errors(tmp_path):
         load_problem(str(tmp_path / "missing.json"))
     mangled = tmp_path / "broken.json"
     mangled.write_text('{"type": "lqr",\n  "A": [[1.0]\n}')
-    with pytest.raises(InvalidProblem, match="line"):
+    with pytest.raises(InputError, match="is not valid JSON: line"):
         load_problem(str(mangled))
 
 

@@ -11,16 +11,11 @@ from hypothesis import strategies as st
 
 from conebellman import (
     CertificationError,
-    GoalNotAbsorbing,
-    GoalUnreachable,
-    InvalidProblem,
+    InputError,
     LdpProblem,
-    NoGoal,
     ReducedLdp,
-    ShapeMismatch,
-    SingularSystem,
     SolveConfig,
-    SupportViolation,
+    SolveFailure,
     TraceRecord,
     fixed_point_solve,
     kl_stage_cost,
@@ -49,11 +44,11 @@ def single_state_problem():
 
 
 def test_problem_validation():
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="column 0 of Pbar sums to 0.9, not 1"):
         LdpProblem(Pbar=[[0.5, 0.0], [0.4, 1.0]], s=[1.0, 0.0], goals=(1,))
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="Pbar entries must be nonnegative"):
         LdpProblem(Pbar=[[1.1, 0.0], [-0.1, 1.0]], s=[1.0, 0.0], goals=(1,))
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match=re.escape("goal ids must lie in [0, 2), got (7,)")):
         LdpProblem(Pbar=[[0.5, 0.0], [0.5, 1.0]], s=[1.0, 0.0], goals=(7,))
 
 
@@ -65,19 +60,19 @@ def test_reduce_single_state():
 
 
 def test_reduce_requires_a_goal():
-    with pytest.raises(NoGoal):
+    with pytest.raises(InputError, match="the goal set is empty"):
         reduce(LdpProblem(Pbar=[[1.0]], s=[1.0], goals=()))
 
 
 def test_reduce_rejects_leaky_or_costly_goal():
-    with pytest.raises(GoalNotAbsorbing):
+    with pytest.raises(InputError, match="goal state 1 leaks probability 0.5 to other states"):
         reduce(LdpProblem(Pbar=[[0.5, 0.5], [0.5, 0.5]], s=[1.0, 0.0], goals=(1,)))
-    with pytest.raises(GoalNotAbsorbing):
+    with pytest.raises(InputError, match="goal state 1 has nonzero cost 0.3"):
         reduce(LdpProblem(Pbar=[[0.5, 0.0], [0.5, 1.0]], s=[1.0, 0.3], goals=(1,)))
 
 
 def test_reduce_rejects_free_non_goal_state():
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="non-goal state 0 must have strictly positive cost"):
         reduce(LdpProblem(Pbar=[[0.5, 0.0], [0.5, 1.0]], s=[0.0, 0.0], goals=(1,)))
 
 
@@ -88,17 +83,17 @@ def test_reduce_detects_stranded_states():
         s=[1.0, 1.0, 0.0],
         goals=(2,),
     )
-    with pytest.raises(GoalUnreachable):
+    with pytest.raises(InputError, match=re.escape("states [0] cannot reach any goal")):
         reduce(p)
 
 
 def test_reduce_names_the_first_leaky_goal():
     # goal 1 is absorbing, goal 2 leaks 1e-11 back to state 0
     leaky = [[0.0, 0.0, 1e-11], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0 - 1e-11]]
-    with pytest.raises(GoalNotAbsorbing, match="goal state 2 leaks"):
+    with pytest.raises(InputError, match="goal state 2 leaks"):
         reduce(LdpProblem(Pbar=leaky, s=[1.0, 0.0, 0.0], goals=(1, 2)))
     # a costly goal 1 is the first offender, ahead of the leak at goal 2
-    with pytest.raises(GoalNotAbsorbing, match="goal state 1 has nonzero cost"):
+    with pytest.raises(InputError, match="goal state 1 has nonzero cost"):
         reduce(LdpProblem(Pbar=leaky, s=[1.0, 0.5, 0.0], goals=(1, 2)))
 
 
@@ -107,7 +102,7 @@ def test_reduce_lists_stranded_states_in_ascending_order():
     P = np.zeros((5, 5))
     P[0, 0] = P[1, 3] = P[3, 1] = P[4, 2] = P[4, 4] = 1.0
     p = LdpProblem(Pbar=P, s=[1.0, 1.0, 1.0, 1.0, 0.0], goals=(4,))
-    with pytest.raises(GoalUnreachable, match=re.escape("states [0, 1, 3] cannot")):
+    with pytest.raises(InputError, match=re.escape("states [0, 1, 3] cannot")):
         reduce(p)
 
 
@@ -149,7 +144,7 @@ def test_reduce_reachability_matches_bfs(n, seed):
     p = LdpProblem(Pbar=W / W.sum(axis=0), s=s, goals=tuple(goals))
     stuck = _bfs_stuck(p.Pbar > 0.0, goals)
     if stuck:
-        with pytest.raises(GoalUnreachable, match=re.escape(f"states {stuck} cannot")):
+        with pytest.raises(InputError, match=re.escape(f"states {stuck} cannot")):
             reduce(p)
     else:
         assert reduce(p).n_r == n - len(goals)
@@ -194,7 +189,7 @@ def test_closed_subchain_has_no_solution():
     r = ReducedLdp(
         Pbar_r=[[0.0, 1.0], [1.0, 0.0]], pbar_g=[0.0, 0.0], s_r=[0.0, 0.0]
     )
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SolveFailure, match=re.escape("rho(G Pbar_r^T) = 1: states [0, 1] never")):
         solve_desirability(r)
 
 
@@ -218,7 +213,7 @@ def test_zero_cost_closed_class_fed_from_outside_is_singular():
         pbar_g=[0.0, 0.0, 0.5],
         s_r=[0.0, 0.0, 1.0],
     )
-    with pytest.raises(SingularSystem, match=re.escape("states [0, 1] never")):
+    with pytest.raises(SolveFailure, match=re.escape("rho(G Pbar_r^T) = 1: states [0, 1] never")):
         solve_desirability(r)
 
 
@@ -293,7 +288,7 @@ def test_policy_columns_are_substochastic():
 
 def test_policy_rejects_non_finite_values():
     r = reduce(single_state_problem())
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="lam must be finite"):
         optimal_policy(r, np.array([np.inf]))
 
 
@@ -314,7 +309,7 @@ def test_stage_cost_rejects_new_support():
     bad = np.array([[0.9]])  # fine: within support
     kl_stage_cost(r, bad)
     r2 = ReducedLdp(Pbar_r=[[0.0]], pbar_g=[1.0], s_r=[1.0])
-    with pytest.raises(SupportViolation):
+    with pytest.raises(InputError, match="P places mass where Pbar_r has none"):
         kl_stage_cost(r2, np.array([[0.1]]))
 
 
@@ -323,7 +318,7 @@ def test_stage_cost_rejects_goal_mass_without_goal_edge():
         Pbar_r=[[0.0, 1.0], [1.0, 0.0]], pbar_g=[0.0, 0.0], s_r=[1.0, 1.0]
     )
     # column sums below one imply goal mass, but pbar_g is zero
-    with pytest.raises(SupportViolation):
+    with pytest.raises(InputError, match="column 0 sends mass .* gives that state no goal transition"):
         kl_stage_cost(r, np.array([[0.0, 0.9], [0.9, 0.0]]))
 
 
@@ -395,9 +390,9 @@ def test_stage_cost_rejects_non_finite_policy_entries(bad):
     r = reduce(random_ldp(10, seed=3))
     P = optimal_policy(r, solve_ldp(random_ldp(10, seed=3)).lam)
     P[tuple(np.argwhere(P > 0.0)[0])] = bad
-    with pytest.raises(InvalidProblem, match="P entries must be finite"):
+    with pytest.raises(InputError, match="P entries must be finite"):
         kl_stage_cost(r, P)
-    with pytest.raises(InvalidProblem, match="P entries must be finite"):
+    with pytest.raises(InputError, match="P entries must be finite"):
         verify_bellman(r, np.zeros(r.n_r), P)
 
 
@@ -430,7 +425,7 @@ def test_bellman_residual_large_off_solution():
     ],
 )
 def test_problem_rejects_non_finite_data(Pbar, s, match):
-    with pytest.raises(InvalidProblem, match=match):
+    with pytest.raises(InputError, match=match):
         LdpProblem(Pbar=Pbar, s=s, goals=(1,))
 
 
@@ -444,7 +439,7 @@ def test_problem_rejects_non_finite_data(Pbar, s, match):
     ],
 )
 def test_reduced_type_rejects_non_finite_data(Pbar_r, pbar_g, s_r, match):
-    with pytest.raises(InvalidProblem, match=match):
+    with pytest.raises(InputError, match=match):
         ReducedLdp(Pbar_r=Pbar_r, pbar_g=pbar_g, s_r=s_r)
 
 
@@ -462,24 +457,24 @@ def _dense_problem(Pbar, s, goals):
     P = np.asarray(Pbar, dtype=float)
     s = np.asarray(s, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ShapeMismatch(f"Pbar must be square, got {P.shape}")
+        raise InputError(f"Pbar must be square, got {P.shape}")
     n = P.shape[0]
     if s.shape != (n,):
-        raise ShapeMismatch(f"s must have length {n}, got {s.shape}")
+        raise InputError(f"s must have length {n}, got {s.shape}")
     if P.size and float(P.min()) < -_TOL:
-        raise InvalidProblem("Pbar entries must be nonnegative")
+        raise InputError("Pbar entries must be nonnegative")
     P = np.maximum(P, 0.0)
     colsums = P.sum(axis=0)
     if np.any(np.abs(colsums - 1.0) > _TOL):
         worst = int(np.argmax(np.abs(colsums - 1.0)))
-        raise InvalidProblem(
+        raise InputError(
             f"column {worst} of Pbar sums to {float(colsums[worst])!r}, not 1"
         )
     if np.any(s < 0):
-        raise InvalidProblem("stage cost s must be nonnegative")
+        raise InputError("stage cost s must be nonnegative")
     goals = tuple(sorted(set(int(g) for g in goals)))
     if goals and (goals[0] < 0 or goals[-1] >= n):
-        raise InvalidProblem(f"goal ids must lie in [0, {n}), got {goals}")
+        raise InputError(f"goal ids must lie in [0, {n}), got {goals}")
     return np.array(P), np.array(s), goals
 
 
@@ -488,18 +483,18 @@ def _dense_reduced(Pbar_r, pbar_g, s_r):
     g = np.asarray(pbar_g, dtype=float)
     s = np.asarray(s_r, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ShapeMismatch(f"Pbar_r must be square, got {P.shape}")
+        raise InputError(f"Pbar_r must be square, got {P.shape}")
     n = P.shape[0]
     if g.shape != (n,) or s.shape != (n,):
-        raise ShapeMismatch(
+        raise InputError(
             f"pbar_g and s_r must have length {n}, got {g.shape} and {s.shape}"
         )
     if (P.size and float(P.min()) < 0.0) or np.any(g < 0):
-        raise InvalidProblem("reduced transitions must be nonnegative")
+        raise InputError("reduced transitions must be nonnegative")
     if np.any(np.abs(P.sum(axis=0) + g - 1.0) > _TOL):
-        raise InvalidProblem("each column of Pbar_r plus its goal mass must sum to 1")
+        raise InputError("each column of Pbar_r plus its goal mass must sum to 1")
     if np.any(s < 0):
-        raise InvalidProblem("reduced stage cost must be nonnegative")
+        raise InputError("reduced stage cost must be nonnegative")
     return np.array(P), np.array(g), np.array(s)
 
 
@@ -515,7 +510,7 @@ def _dense_reaches(support, sources):
 
 def _dense_reduce(P, s, goal_ids):
     if not goal_ids:
-        raise NoGoal("the goal set is empty")
+        raise InputError("the goal set is empty")
     n = P.shape[0]
     goals = np.array(goal_ids)
     cols = P[:, goals]
@@ -526,17 +521,17 @@ def _dense_reduce(P, s, goal_ids):
     if bad.size:
         k, g = bad[0], goals[bad[0]]
         if costly[k]:
-            raise GoalNotAbsorbing(f"goal state {g} has nonzero cost {float(s[g])!r}")
-        raise GoalNotAbsorbing(
+            raise InputError(f"goal state {g} has nonzero cost {float(s[g])!r}")
+        raise InputError(
             f"goal state {g} leaks probability {float(leak[k])!r} to other states"
         )
     nongoal = ~np.isin(np.arange(n), goals)
     free = np.flatnonzero(nongoal & (s <= 0.0))
     if free.size:
-        raise InvalidProblem(f"non-goal state {free[0]} must have strictly positive cost")
+        raise InputError(f"non-goal state {free[0]} must have strictly positive cost")
     stuck = np.flatnonzero(~_dense_reaches(P > 0.0, ~nongoal))
     if stuck.size:
-        raise GoalUnreachable(f"states {stuck.tolist()} cannot reach any goal under Pbar")
+        raise InputError(f"states {stuck.tolist()} cannot reach any goal under Pbar")
     idx = np.flatnonzero(nongoal)
     pbar_g = P[np.ix_(goals, idx)].sum(axis=0)
     return _dense_reduced(P[np.ix_(idx, idx)], pbar_g, s[idx])
@@ -549,7 +544,7 @@ def _dense_solve_desirability(Pr, pg, sr, cfg):
     if not deficient.all():
         closed = np.flatnonzero(~_dense_reaches(Pr > 0.0, deficient))
         if closed.size:
-            raise SingularSystem(
+            raise SolveFailure(
                 f"rho(G Pbar_r^T) = 1: states {closed.tolist()} never reach the goal"
             )
     g = np.exp(-sr)
@@ -597,22 +592,22 @@ def _dense_kl_stage_cost(Pr, pg, sr, P):
     P = np.asarray(P, dtype=float)
     n = Pr.shape[0]
     if P.shape != (n, n):
-        raise ShapeMismatch(f"P must be {n} x {n}, got {P.shape}")
+        raise InputError(f"P must be {n} x {n}, got {P.shape}")
     if P.size and float(P.min()) < -_TOL:
-        raise InvalidProblem("P entries must be nonnegative")
+        raise InputError("P entries must be nonnegative")
     P = np.maximum(P, 0.0)
     rows, cols = np.nonzero(P)
     vals = P[rows, cols]
     pbar = Pr[rows, cols]
     if np.any(pbar == 0.0):
-        raise SupportViolation("P places mass where Pbar_r has none (infinite divergence)")
+        raise InputError("P places mass where Pbar_r has none (infinite divergence)")
     goal_mass = 1.0 - P.sum(axis=0)
     if np.any(goal_mass < -_TOL):
-        raise InvalidProblem("columns of P must be substochastic")
+        raise InputError("columns of P must be substochastic")
     off_support_goal = (pg == 0.0) & (np.abs(goal_mass) > _TOL)
     if np.any(off_support_goal):
         bad = int(np.argmax(off_support_goal))
-        raise SupportViolation(
+        raise InputError(
             f"column {bad} sends mass {goal_mass[bad]!r} to the goal but "
             "Pbar_r gives that state no goal transition"
         )

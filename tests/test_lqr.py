@@ -1,5 +1,7 @@
 """LQR Riccati recursion: one Cholesky check and one solve per step."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,10 @@ from hypothesis import strategies as st
 
 from conebellman import (
     CertificationError,
-    InvalidProblem,
+    InputError,
     LqrProblem,
-    NotPositiveDefinite,
-    ShapeMismatch,
     SolveConfig,
     SolveFailure,
-    UnstableGain,
     cost_of_gain,
     dare_residual,
     riccati_step,
@@ -36,11 +35,11 @@ def scalar_problem():
 
 
 def test_intake_rejects_indefinite_costs():
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="min eigenvalues: Q -1.000e[+]00, R 1.000e[+]00"):
         LqrProblem(A=[[1.0]], B=[[1.0]], Q=[[-1.0]], R=[[1.0]])
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="min eigenvalues: Q 1.000e[+]00, R -1.000e[+]00"):
         LqrProblem(A=[[1.0]], B=[[1.0]], Q=[[1.0]], R=[[-1.0]])
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="min eigenvalues: Q 0.000e[+]00, R 0.000e[+]00"):
         LqrProblem(A=[[1.0]], B=[[1.0]], Q=[[0.0]], R=[[0.0]])
 
 
@@ -48,7 +47,7 @@ def test_intake_rejects_indefinite_costs():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_intake_rejects_non_finite_entries(field, bad):
     data = {"A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]], field: [[bad]]}
-    with pytest.raises(InvalidProblem, match=f"^{field} must be finite$"):
+    with pytest.raises(InputError, match=f"^{field} must be finite$"):
         LqrProblem(**data)
 
 
@@ -59,19 +58,19 @@ def test_intake_warns_on_semidefinite_state_cost(caplog):
 
 
 def test_intake_rejects_asymmetric_cost():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match="Q must be symmetric"):
         LqrProblem(A=np.eye(2), B=np.eye(2), Q=[[1.0, 0.3], [0.0, 1.0]], R=np.eye(2))
 
 
 def test_start_outside_the_psd_cone_is_rejected_at_intake():
     # the relative slack 1e-12 * max|Q| = 1e-9 is capped at 1e-10 absolute,
     # because the Riccati iteration starts from Q
-    with pytest.raises(InvalidProblem, match="min eigenvalues: Q -5.000e-10"):
+    with pytest.raises(InputError, match="min eigenvalues: Q -5.000e-10"):
         LqrProblem(A=0.5 * np.eye(2), B=np.eye(2), Q=np.diag([1000.0, -5e-10]), R=np.eye(2))
 
 
 def test_problem_without_states_is_rejected():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match="A must have at least one state"):
         solve_lqr(
             LqrProblem(A=np.zeros((0, 0)), B=np.zeros((0, 2)), Q=np.zeros((0, 0)), R=np.eye(2))
         )
@@ -115,7 +114,7 @@ def test_cholesky_identity():
 
 def test_cholesky_rejects_indefinite():
     p = LqrProblem(A=np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.zeros((2, 2)))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(SolveFailure, match=re.escape("R + B^T lam B is not positive definite")):
         riccati_step(p, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
@@ -150,16 +149,15 @@ def test_triangular_solves_round_trip(seed):
 def test_lapack_failure_raises_not_positive_definite():
     # S = R + B^T lam B = [[1, 0], [0, 0]] is singular: LAPACK stops at column 1
     p = LqrProblem(A=[[1.0]], B=[[1.0, 0.0]], Q=[[1.0]], R=np.zeros((2, 2)))
-    with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+    with pytest.raises(SolveFailure, match=re.escape("R + B^T lam B is not positive definite")):
         riccati_step(p, np.array([[1.0]]))
-    assert issubclass(NotPositiveDefinite, SolveFailure)
 
 
 def test_pivot_below_floor_raises_not_positive_definite():
     # S = [[2, 2], [2, 2]] passes LAPACK with last pivot 4.4e-16, which is
     # below the threshold 1e-14 * max|S| = 2e-14
     p = LqrProblem(A=[[1.0]], B=[[1.0, 1.0]], Q=[[1.0]], R=np.ones((2, 2)))
-    with pytest.raises(NotPositiveDefinite, match="pivot .* at column 1"):
+    with pytest.raises(SolveFailure, match="pivot .* at column 1"):
         riccati_step(p, np.array([[1.0]]))
 
 
@@ -295,7 +293,7 @@ def test_cost_of_open_loop_gain_near_unit_radius(a):
 
 def test_cost_of_gain_rejects_unstable_loop():
     p = LqrProblem(A=[[2.0]], B=[[0.0]], Q=[[1.0]], R=[[1.0]])
-    with pytest.raises(UnstableGain):
+    with pytest.raises(InputError, match=re.escape("spectral radius of A + BK is 2.000000 >= 1")):
         cost_of_gain(p, np.array([[0.0]]), np.array([[1.0]]))
 
 
@@ -346,7 +344,7 @@ def test_nan_closed_loop_radius_fails_certification(monkeypatch):
     monkeypatch.setattr(lqr, "spectral_radius", lambda M: float("nan"))
     with pytest.raises(CertificationError, match="spectral radius nan >= 1"):
         solve_lqr(scalar_problem())
-    with pytest.raises(UnstableGain, match="nan >= 1"):
+    with pytest.raises(InputError, match=re.escape("spectral radius of A + BK is nan >= 1")):
         cost_of_gain(scalar_problem(), np.array([[-0.5]]), np.array([[1.0]]))
 
 

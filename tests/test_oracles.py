@@ -2,31 +2,29 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conebellman import (
-    BadSeedConfig,
     Diverged,
     GraphEdge,
     GraphSsp,
-    InvalidProblem,
+    InputError,
     LdpProblem,
     LqrProblem,
     MaxIterExceeded,
     ReducedLdp,
-    ShapeMismatch,
-    SingularInnerMatrix,
+    SolveFailure,
     SspProblem,
-    UnreachableNode,
-    gauss_jordan_inverse,
     reduce,
     solve_ldp,
 )
 from conebellman.oracles import (
     dijkstra,
+    gauss_jordan_inverse,
     ldp_logsumexp_vi,
     ldp_rollout,
     naive_dare,
@@ -106,7 +104,7 @@ def test_dijkstra_unreachable_node():
         edges=(GraphEdge(0, (2,), 1.0, (1.0,)),),  # node 1 has no edges
         s=[0.1, 0.1, 0.0],
     )
-    with pytest.raises(UnreachableNode):
+    with pytest.raises(InputError, match=re.escape("no path to any goal from nodes [1]")):
         dijkstra(g)
 
 
@@ -118,7 +116,7 @@ def test_dijkstra_rejects_stochastic_edges():
                GraphEdge(1, (2,), 1.0, (1.0,))),
         s=[0.1, 0.1, 0.0],
     )
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="dijkstra requires single-successor edges"):
         dijkstra(g)
 
 
@@ -144,12 +142,12 @@ def test_inverse_matches_numpy(seed):
 
 
 def test_inverse_rejects_singular():
-    with pytest.raises(SingularInnerMatrix):
+    with pytest.raises(SolveFailure, match="pivot .* at column 1"):
         gauss_jordan_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_inverse_rejects_non_square():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match=re.escape("expected a square matrix, got (2, 3)")):
         gauss_jordan_inverse(np.zeros((2, 3)))
 
 
@@ -246,19 +244,19 @@ def test_rollout_single_trial_has_no_spread():
 
 def test_rollout_seed_validation():
     r, sol = single_state_solution()
-    with pytest.raises(BadSeedConfig):
+    with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
         ldp_rollout(r, sol.Pstar, 0, horizon=10, trials=1, seed=-1)
-    with pytest.raises(BadSeedConfig):
+    with pytest.raises(InputError, match="seed must be an integer, got 1.5"):
         ldp_rollout(r, sol.Pstar, 0, horizon=10, trials=1, seed=1.5)
 
 
 def test_rollout_argument_validation():
     r, sol = single_state_solution()
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="trials must be >= 1, got 0"):
         ldp_rollout(r, sol.Pstar, 0, horizon=10, trials=0, seed=0)
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="horizon must be >= 1, got 0"):
         ldp_rollout(r, sol.Pstar, 0, horizon=0, trials=1, seed=0)
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match=re.escape("start_state must lie in [0, 1), got 5")):
         ldp_rollout(r, sol.Pstar, 5, horizon=10, trials=1, seed=0)
 
 

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -16,10 +17,8 @@ from conebellman import (
     CertificationError,
     GraphEdge,
     GraphSsp,
-    InvalidProblem,
+    InputError,
     MaxIterExceeded,
-    NegativeLambda,
-    ShapeMismatch,
     SolveConfig,
     SspProblem,
     bellman_update,
@@ -47,17 +46,17 @@ def single_state_problem():
 
 
 def test_problem_shape_and_sign_checks():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match=re.escape("A must be square, got (1, 2)")):
         SspProblem(A=[[1.0, 0.0]], B=[[1.0]], s=[1.0], r=[1.0], block_sizes=(1,), E=[[1.0]])
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="state cost s must be strictly positive"):
         SspProblem(A=[[1.0]], B=[[1.0]], s=[0.0], r=[1.0], block_sizes=(1,), E=[[1.0]])
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="A must be elementwise nonnegative"):
         SspProblem(A=[[-0.1]], B=[[1.0]], s=[1.0], r=[1.0], block_sizes=(1,), E=[[1.0]])
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="input cost r must be nonnegative"):
         SspProblem(A=[[1.0]], B=[[1.0]], s=[1.0], r=[-1.0], block_sizes=(1,), E=[[1.0]])
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="block_sizes must be nonnegative and sum to m=1"):
         SspProblem(A=[[1.0]], B=[[1.0]], s=[1.0], r=[1.0], block_sizes=(2,), E=[[1.0]])
-    with pytest.raises(ShapeMismatch):  # no state to solve for
+    with pytest.raises(InputError, match="A must have at least one state"):
         empty = np.zeros((0, 0))
         solve_ssp(SspProblem(A=empty, B=empty, s=[], r=[], block_sizes=(), E=empty))
 
@@ -78,7 +77,7 @@ def test_budget_boundary_and_violation():
 
 
 def test_gain_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match=re.escape("gain must be 1 x 1, got (2, 1)")):
         validate_gain(single_state_problem(), np.zeros((2, 1)))
 
 
@@ -108,7 +107,7 @@ def test_update_without_control_authority():
 
 
 def test_update_rejects_negative_lambda():
-    with pytest.raises(NegativeLambda):
+    with pytest.raises(InputError, match="^value iterate has negative entries$"):
         bellman_update(single_state_problem(), [-1.0])
 
 
@@ -279,7 +278,8 @@ def test_negative_iterate_inside_solve_is_a_certification_failure():
     p = orthant_leaving_problem()
     lam, _ = bellman_update(p, bellman_update(p, [0.0, 0.0])[0])
     assert np.array_equal(lam, [1.0, -49.0])
-    with pytest.raises(NegativeLambda):  # a caller's negative lam: input error
+    # a caller's negative lam: input error
+    with pytest.raises(InputError, match="^value iterate has negative entries$"):
         bellman_update(p, lam)
     with pytest.raises(CertificationError, match="does not preserve the orthant"):
         solve_ssp(p)
@@ -408,23 +408,23 @@ def chain_graph():
 
 
 def test_graph_validation():
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="graph needs a non-empty goal set"):
         GraphSsp(n_nodes=2, goals=(), edges=(), s=[0.1, 0.1])
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="goal node 1 must have no outgoing edges"):
         GraphSsp(
             n_nodes=2,
             goals=(1,),
             edges=(GraphEdge(1, (0,), 1.0, (1.0,)),),  # goal with an edge
             s=[0.1, 0.0],
         )
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="edge probabilities must sum to 1, got 0.8"):
         GraphSsp(
             n_nodes=2,
             goals=(1,),
             edges=(GraphEdge(0, (0, 1), 1.0, (0.4, 0.4)),),  # probs sum != 1
             s=[0.1, 0.0],
         )
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InputError, match="node cost s must be > 0 on non-goal nodes"):
         compile_graph(
             GraphSsp(
                 n_nodes=2,
@@ -450,24 +450,23 @@ def test_graph_intake_rejects_non_finite_edges(edge, message):
     # the second, valid edge makes the array masks and the re-check agree on
     # which edge is first
     good = GraphEdge(0, (1,), 1.0, (1.0,))
-    with pytest.raises(InvalidProblem) as exc:
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         GraphSsp(n_nodes=2, goals=(1,), edges=(good, edge), s=[0.1, 0.0])
-    assert str(exc.value) == message
 
 
 def test_graph_intake_message_uses_the_rule_s_own_sum(monkeypatch):
     # these probabilities add left to right to 1 + 1.00009e-12, which the
     # rule rejects; a compensated sum (Python's sum from 3.12) gives
     # 1 + 9.9987e-13, within tolerance, so a message that summed them again
-    # found nothing wrong and intake raised InvalidProblem(None)
+    # found nothing wrong and intake raised InputError(None)
     probs = (0.10977239832091629, 0.5695241963841889, 0.3207034052958947)
     assert probs[0] + probs[1] + probs[2] - 1.0 > 1e-12 > math.fsum(probs) - 1.0
     # math.fsum stands in for the compensated sum on older interpreters
     monkeypatch.setattr(ssp, "sum", math.fsum, raising=False)
     edge = GraphEdge(0, (1, 2, 3), 1.0, probs)
-    with pytest.raises(InvalidProblem) as exc:
+    message = "edge probabilities must sum to 1, got 1.000000000001"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         GraphSsp(n_nodes=4, goals=(3,), edges=(edge,), s=[0.1, 0.1, 0.1, 0.0])
-    assert str(exc.value) == "edge probabilities must sum to 1, got 1.000000000001"
 
 
 def test_chain_graph_matches_hand_distances():
@@ -543,39 +542,39 @@ def test_random_deterministic_graphs_agree_with_dijkstra(seed):
 def _reference_intake(n_nodes, goals, edges, s):
     """The edge-by-edge GraphSsp validator: normalized (goals, edges, s)."""
     if n_nodes < 1:
-        raise InvalidProblem("graph needs at least one node")
+        raise InputError("graph needs at least one node")
     goals = tuple(sorted(set(int(g) for g in goals)))
     if not goals:
-        raise InvalidProblem("graph needs a non-empty goal set")
+        raise InputError("graph needs a non-empty goal set")
     if goals[0] < 0 or goals[-1] >= n_nodes:
-        raise InvalidProblem(f"goal ids must lie in [0, {n_nodes}), got {goals}")
+        raise InputError(f"goal ids must lie in [0, {n_nodes}), got {goals}")
     out = []
     for e in edges:
         tgts = tuple(int(t) for t in e.targets)
         probs = tuple(float(q) for q in e.probs)
         if not (0 <= e.source < n_nodes):
-            raise InvalidProblem(f"edge source {e.source} out of range")
+            raise InputError(f"edge source {e.source} out of range")
         if e.source in goals:
-            raise InvalidProblem(f"goal node {e.source} must have no outgoing edges")
+            raise InputError(f"goal node {e.source} must have no outgoing edges")
         if len(tgts) != len(probs) or not tgts:
-            raise InvalidProblem("edge needs matching non-empty targets and probs")
+            raise InputError("edge needs matching non-empty targets and probs")
         if any(t < 0 or t >= n_nodes for t in tgts):
-            raise InvalidProblem(f"edge target out of range in {tgts}")
+            raise InputError(f"edge target out of range in {tgts}")
         if len(set(tgts)) != len(tgts):
-            raise InvalidProblem(f"edge targets must be distinct, got {tgts}")
+            raise InputError(f"edge targets must be distinct, got {tgts}")
         if any(q <= 0 for q in probs):
-            raise InvalidProblem("edge probabilities must be positive")
+            raise InputError("edge probabilities must be positive")
         total = functools.reduce(operator.add, probs, 0.0)  # left to right on every Python
         if abs(total - 1.0) > 1e-12:
-            raise InvalidProblem(f"edge probabilities must sum to 1, got {total!r}")
+            raise InputError(f"edge probabilities must sum to 1, got {total!r}")
         if e.cost < 0:
-            raise InvalidProblem(f"edge cost must be >= 0, got {e.cost}")
+            raise InputError(f"edge cost must be >= 0, got {e.cost}")
         out.append(GraphEdge(int(e.source), tgts, float(e.cost), probs))
     s = np.asarray(s, dtype=float)
     if s.shape != (n_nodes,):
-        raise ShapeMismatch(f"s must have length {n_nodes}, got {s.shape}")
+        raise InputError(f"s must have length {n_nodes}, got {s.shape}")
     if np.any(s < 0):
-        raise InvalidProblem("node costs must be nonnegative")
+        raise InputError("node costs must be nonnegative")
     return goals, tuple(out), s
 
 
@@ -583,11 +582,11 @@ def _reference_compile(n_nodes, goals, edges, s_node):
     """The per-edge compiler with dense restricted columns, as plain arrays."""
     nongoal = [x for x in range(n_nodes) if x not in goals]
     if np.any(s_node[nongoal] <= 0):
-        raise InvalidProblem("node cost s must be > 0 on non-goal nodes")
+        raise InputError("node cost s must be > 0 on non-goal nodes")
     state_of = {x: i for i, x in enumerate(nongoal)}
     n = len(nongoal)
     if n == 0:
-        raise InvalidProblem("graph has no non-goal nodes; nothing to solve")
+        raise InputError("graph has no non-goal nodes; nothing to solve")
 
     edges_at = [[] for _ in range(n_nodes)]
     for idx, e in enumerate(edges):
@@ -797,7 +796,10 @@ def _dense_validate_gain(d, K):
 
 def _dense_sweep(d, lam):
     if lam.size and float(lam.min()) < -1e-10:
-        raise NegativeLambda("value iterate has negative entries")
+        raise CertificationError(
+            "value iterate has negative entries; "
+            "the budget matrix E does not preserve the orthant"
+        )
     # column sums in ascending row order, as the solver adds them: a BLAS
     # matvec can round a reduced cost that is 0 in exact arithmetic to
     # either side of 0, and so pick another (equally optimal) gain row
@@ -843,13 +845,7 @@ def _dense_certify(d, lam, K):
 
 def _dense_solve(d, cfg):
     """(lam, K, sweeps, rho) of the dense solver."""
-    try:
-        result = fixed_point_solve(lambda lam: _dense_sweep(d, lam), np.zeros(d.n), cfg)
-    except NegativeLambda as exc:
-        raise CertificationError(
-            "value iterate has negative entries; "
-            "the budget matrix E does not preserve the orthant"
-        ) from exc
+    result = fixed_point_solve(lambda lam: _dense_sweep(d, lam), np.zeros(d.n), cfg)
     lam = result.value
     K = _dense_gain(d, result.minimizer)
     return lam, K, len(result.trace), _dense_certify(d, lam, K)
@@ -861,10 +857,10 @@ def _dense_compile_graph(g):
     nongoal_mask[list(g.goals)] = False
     nongoal = np.flatnonzero(nongoal_mask)
     if np.any(g.s[nongoal] <= 0):
-        raise InvalidProblem("node cost s must be > 0 on non-goal nodes")
+        raise InputError("node cost s must be > 0 on non-goal nodes")
     n = nongoal.size
     if n == 0:
-        raise InvalidProblem("graph has no non-goal nodes; nothing to solve")
+        raise InputError("graph has no non-goal nodes; nothing to solve")
     state = np.cumsum(nongoal_mask) - 1
     src, cost, tgt, prob = g._src, g._cost, g._tgt, g._prob
     k = src.size
@@ -1149,14 +1145,14 @@ def test_solve_allocates_no_dense_matrix_but_the_gain():
 def test_problem_rejects_non_finite_entries(field, bad):
     data = dict(A=[[0.5]], B=[[-1.0]], s=[1.0], r=[2.0], block_sizes=(1,), E=[[1.0]])
     data[field] = [[bad]] if field in "ABE" else [bad]
-    with pytest.raises(InvalidProblem, match=f"^{field} must be finite$"):
+    with pytest.raises(InputError, match=f"^{field} must be finite$"):
         SspProblem(**data)
 
 
 @pytest.mark.parametrize("s", [[float("nan"), 0.0], [0.1, float("nan")], [float("inf"), 0.0]])
 def test_graph_rejects_non_finite_node_costs(s):
     # a NaN node cost used to pass intake and run every sweep of the budget
-    with pytest.raises(InvalidProblem, match="node costs must be finite"):
+    with pytest.raises(InputError, match="node costs must be finite"):
         GraphSsp(n_nodes=2, goals=(1,), edges=(GraphEdge(0, (1,), 1.0, (1.0,)),), s=s)
 
 
