@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Diverged, InputError, MaxIterExceeded, SolveFailure
-from .ldp import ReducedLdp, kl_stage_cost
+from .ldp import ReducedLdp
 from .lqr import LqrProblem
 from .ssp import GraphSsp, SspProblem
 
@@ -158,6 +158,38 @@ def ldp_logsumexp_vi(r: ReducedLdp, iters: int, tol: float = 0.0) -> np.ndarray:
     return lam
 
 
+_MASS_TOL = 1e-12  # rounding slack on a column's goal mass
+
+
+def _stage_costs(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
+    """h_i = s_i + KL(column i of P, goal mass included || column i of P̄).
+
+    Dense all-pairs arithmetic on P and Pbar_r.  P must be a feasible
+    controlled transition matrix: finite, nonnegative, inside the support of
+    Pbar_r and substochastic, with goal mass only where pbar_g > 0.
+    """
+    n = r.n_r
+    if P.shape != (n, n):
+        raise InputError(f"Pstar must be {n} x {n}, got {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise InputError("Pstar entries must be finite")
+    if np.any(P < 0.0):
+        raise InputError("Pstar entries must be nonnegative")
+    if np.any((P > 0.0) & (r.Pbar_r == 0.0)):
+        raise InputError("Pstar places mass where Pbar_r has none")
+    goal = 1.0 - P.sum(axis=0)
+    if np.any(goal < -_MASS_TOL):
+        raise InputError("columns of Pstar must be substochastic")
+    has_goal = r.pbar_g > 0.0
+    if np.any(~has_goal & (goal > _MASS_TOL)):
+        raise InputError("Pstar sends goal mass from a state Pbar_r gives no goal transition")
+    goal = np.where(has_goal, np.maximum(goal, 0.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(P > 0.0, P * np.log(P / r.Pbar_r), 0.0).sum(axis=0)
+        kl_goal = np.where(goal > 0.0, goal * np.log(goal / r.pbar_g), 0.0)
+    return r.s_r + kl + kl_goal
+
+
 @dataclass(frozen=True)
 class RolloutStats:
     trials: int
@@ -177,9 +209,10 @@ def ldp_rollout(
 ) -> RolloutStats:
     """Monte Carlo estimate of the total cost under controlled transitions.
 
-    Each visit to state i costs h_i (the same
-    per-state cost the Bellman equation charges: s_i plus the KL divergence
-    of the controlled column, goal mass included, from the passive one).
+    Each visit to state i costs h_i (the same per-state cost the Bellman
+    equation charges: s_i plus the KL divergence of the controlled column,
+    goal mass included, from the passive one), computed here from the dense
+    matrices with no call into the solver.
     Trajectories absorb into the goal with the column's missing mass; those
     still alive after ``horizon`` steps count toward truncated_fraction.
     Trial t draws from numpy's default PCG64 generator seeded with
@@ -198,7 +231,7 @@ def ldp_rollout(
             f"start_state must lie in [0, {r.n_r}), got {start_state}"
         )
     Pstar = np.asarray(Pstar, dtype=float)
-    h = kl_stage_cost(r, Pstar)  # also validates feasibility of Pstar
+    h = _stage_costs(r, Pstar)
     cumulative = np.cumsum(Pstar, axis=0)
 
     costs = np.zeros(trials)

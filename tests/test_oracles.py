@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import inspect
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,8 @@ from conebellman import (
     reduce,
     solve_ldp,
 )
+from conebellman import ldp, sparse
+from conebellman.generators import random_ldp
 from conebellman.oracles import (
     dijkstra,
     gauss_jordan_inverse,
@@ -258,6 +262,52 @@ def test_rollout_argument_validation():
         ldp_rollout(r, sol.Pstar, 0, horizon=0, trials=1, seed=0)
     with pytest.raises(InputError, match=re.escape("start_state must lie in [0, 1), got 5")):
         ldp_rollout(r, sol.Pstar, 5, horizon=10, trials=1, seed=0)
+
+
+def test_rollout_prices_its_steps_without_the_solver(monkeypatch):
+    # with the solver's stage cost and every support function broken, in
+    # every module that holds them, the rollout still runs and draws the
+    # same trajectories at the same costs
+    p = random_ldp(12, seed=3)
+    r, sol = reduce(p), solve_ldp(p)
+    expected = ldp_rollout(r, sol.Pstar, 0, horizon=1000, trials=200, seed=5)
+    targets = [ldp.kl_stage_cost] + [
+        f for f in vars(sparse).values()
+        if inspect.isfunction(f) and f.__module__ == sparse.__name__
+    ]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the rollout oracle ran solver code")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "conebellman":
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in targets):
+                    monkeypatch.setattr(module, attr, broken)
+    assert ldp_rollout(r, sol.Pstar, 0, horizon=1000, trials=200, seed=5) == expected
+
+
+@pytest.mark.parametrize(
+    "Pstar, message",
+    [
+        (np.zeros((2, 2)), re.escape("Pstar must be 1 x 1, got (2, 2)")),
+        (np.array([[np.nan]]), "Pstar entries must be finite"),
+        (np.array([[-0.1]]), "Pstar entries must be nonnegative"),
+        (np.array([[1.5]]), "columns of Pstar must be substochastic"),
+    ],
+)
+def test_rollout_rejects_infeasible_policies(Pstar, message):
+    r, _ = single_state_solution()
+    with pytest.raises(InputError, match=message):
+        ldp_rollout(r, Pstar, 0, horizon=10, trials=1, seed=0)
+
+
+def test_rollout_rejects_mass_outside_the_passive_support():
+    r = ReducedLdp(Pbar_r=[[0.0, 1.0], [1.0, 0.0]], pbar_g=[0.0, 0.0], s_r=[1.0, 1.0])
+    with pytest.raises(InputError, match="Pstar places mass where Pbar_r has none"):
+        ldp_rollout(r, np.array([[0.5, 1.0], [0.5, 0.0]]), 0, horizon=10, trials=1, seed=0)
+    with pytest.raises(InputError, match="Pstar sends goal mass from a state Pbar_r"):
+        ldp_rollout(r, np.array([[0.0, 1.0], [0.9, 0.0]]), 0, horizon=10, trials=1, seed=0)
 
 
 def test_oracles_import_nothing_from_the_support_module():
