@@ -42,17 +42,17 @@ def random_ssp_graph(
     goal = n_nodes - 1
     edges = []
     for x in range(goal):
-        later = np.arange(x + 1, n_nodes)
+        n_later = n_nodes - x - 1  # targets are drawn from x + 1, ..., goal
         n_actions = 1 + int(rng.integers(0, extra_edges + 1))
         for _ in range(n_actions):
-            if stochastic and later.size > 1:
-                k = int(rng.integers(1, min(3, later.size) + 1))
+            if stochastic and n_later > 1:
+                k = int(rng.integers(1, min(3, n_later) + 1))
                 targets = tuple(
-                    int(t) for t in rng.choice(later, size=k, replace=False)
+                    x + 1 + int(t) for t in rng.choice(n_later, size=k, replace=False)
                 )
                 probs = tuple(_positive_simplex(rng, k))
             else:
-                targets = (int(rng.choice(later)),)
+                targets = (x + 1 + int(rng.choice(n_later)),)
                 probs = (1.0,)
             cost = float(rng.uniform(0.5, 2.0))
             edges.append(GraphEdge(x, targets, cost, probs))
@@ -117,9 +117,9 @@ def random_ldp(
     goals = tuple(range(n_states - n_goals, n_states))
     P = np.zeros((n_states, n_states))
     for i in range(n_states - n_goals):
-        later = np.arange(i + 1, n_states)
-        k = int(rng.integers(1, min(fan_out, later.size) + 1))
-        support = [int(t) for t in rng.choice(later, size=k, replace=False)]
+        n_later = n_states - i - 1  # forward states i + 1, ..., n_states - 1
+        k = int(rng.integers(1, min(fan_out, n_later) + 1))
+        support = [i + 1 + int(t) for t in rng.choice(n_later, size=k, replace=False)]
         if i > 0 and rng.random() < 0.3:
             back = int(rng.integers(0, i))
             if back not in support:
