@@ -339,7 +339,7 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
     if np.any(off_support_goal):
         bad = int(np.argmax(off_support_goal))
         raise InputError(
-            f"column {bad} sends mass {goal_mass[bad]!r} to the goal but "
+            f"column {bad} sends mass {float(goal_mass[bad])!r} to the goal but "
             "Pbar_r gives that state no goal transition"
         )
 

@@ -11,6 +11,14 @@ Factoring ``S = L L^T`` splits the input minimization into m independent
 rank-1 problems (``K = -L^{-T} M`` and ``G^T S^{-1} G = M^T M`` with
 ``M = L^{-1} G``); one LAPACK Cholesky per sweep checks that S is positive
 definite and one LAPACK solve yields K.
+
+Plain sweeps from Q converge only linearly, so the solve starts them from a
+seed computed by the structure-preserving doubling algorithm (SDA; Chu, Fan,
+Lin & Wang, Int. J. Control 2004).  Its k-th iterate is the (2**k - 1)-th
+Riccati iterate from Q, so it converges quadratically to the same limit,
+and the sweeps from the seed certify it exactly as they would certify the
+limit reached from Q.  When doubling cannot run or does not settle, the
+sweeps start from Q.
 """
 
 from __future__ import annotations
@@ -28,6 +36,13 @@ logger = logging.getLogger("conebellman.lqr")
 
 #: relative tolerance for accepting a nearly-symmetric matrix before symmetrizing
 SYMMETRY_TOL = 1e-12
+
+# doubling steps before the seed falls back to Q: 40 steps stand for about
+# 2**40 sweeps from Q, far past the engine's default budget of 100,000 sweeps
+_SDA_MAX_STEPS = 40
+# a doubling step that moves no entry by more than this fraction of the
+# largest one has reached rounding: the next would move it by its square
+_SDA_RTOL = 1e-14
 
 _LYAPUNOV_TOL = 1e-12
 # 2**64 Lyapunov sweeps: the doubling summands shrink like rho**(2**k), which
@@ -160,20 +175,67 @@ def dare_residual(p: LqrProblem, lam: np.ndarray) -> float:
     return float(np.max(np.abs(lam_next - np.asarray(lam, dtype=float))))
 
 
+def _doubling_seed(p: LqrProblem) -> np.ndarray | None:
+    """Limit of the Riccati iteration from Q by structure-preserving doubling.
+
+    From A_0 = A, G_0 = B R^{-1} B^T and H_0 = Q, each step solves
+    W = I + G H against [A | G] once and sets H <- H + A^T H W^{-1} A,
+    G <- G + A W^{-1} G A^T and A <- A W^{-1} A.  H_k is the (2**k - 1)-th
+    Riccati iterate from Q, so the gap between steps shrinks quadratically.
+    Returns None when R or W is singular, an iterate is not finite, or the
+    gap has not settled within _SDA_MAX_STEPS steps.
+    """
+    n = p.n
+    A, H = p.A, p.Q
+    with np.errstate(all="ignore"):
+        try:
+            M = np.linalg.solve(np.linalg.cholesky(p.R), p.B.T)
+        except np.linalg.LinAlgError:
+            return None
+        G = M.T @ M
+        for _ in range(_SDA_MAX_STEPS):
+            W = G @ H
+            W.flat[:: n + 1] += 1.0  # W = I + G H, without an identity temporary
+            try:
+                X = np.linalg.solve(W, np.hstack([A, G]))
+            except np.linalg.LinAlgError:
+                return None
+            WA, WG = X[:, :n], X[:, n:]
+            H_next = H + A.T @ (H @ WA)
+            H_next = 0.5 * (H_next + H_next.T)
+            G = G + A @ WG @ A.T
+            G = 0.5 * (G + G.T)
+            A = A @ WA
+            # a non-finite A or G reaches H through the next step's solve
+            scale = float(np.abs(H_next).max())
+            if not np.isfinite(scale):
+                return None
+            gap = float(np.abs(H_next - H).max())
+            H = H_next
+            if gap <= _SDA_RTOL * scale:
+                return H
+    return None
+
+
 def solve_lqr(p: LqrProblem, cfg: SolveConfig | None = None) -> LqrSolution:
-    """Iterate the Riccati map from lam0 = Q to its fixed point.
+    """Iterate the Riccati map to its fixed point from a doubling seed.
 
     The iteration is the finite-horizon backup with terminal weight Q, so
-    the iterates are monotone nondecreasing in the semidefinite order.  On
-    convergence the solution is certified: lam strictly positive definite,
-    closed loop A + BK with spectral radius (the largest modulus of its
-    LAPACK eigenvalues) below one, and Riccati defect below 10 * tol.
-    Unstabilizable systems diverge (value grows without bound) rather than
-    failing intake.
+    the iterates are monotone nondecreasing in the semidefinite order.  The
+    sweeps start from the limit that structure-preserving doubling reaches
+    along the same iteration, or from lam0 = Q when doubling fails (R
+    singular, a singular or non-finite doubling step, or no settling within
+    40 steps).  On convergence the solution is certified: lam strictly
+    positive definite, closed loop A + BK with spectral radius (the largest
+    modulus of its LAPACK eigenvalues) below one, and Riccati defect below
+    10 * tol.  Unstabilizable systems diverge (value grows without bound)
+    rather than failing intake.
     """
     cfg = cfg or SolveConfig()
+    seed = _doubling_seed(p)
+    lam0 = p.Q if seed is None else seed
     # iterates are the step's own symmetrized emissions, so none is re-validated
-    result = fixed_point_solve(lambda lam: _riccati_core(p, lam), p.Q, cfg)
+    result = fixed_point_solve(lambda lam: _riccati_core(p, lam), lam0, cfg)
     lam = result.value
     K = result.minimizer
     min_eig = float(np.linalg.eigvalsh(lam)[0])

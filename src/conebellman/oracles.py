@@ -93,7 +93,7 @@ def gauss_jordan_inverse(S: np.ndarray) -> np.ndarray:
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
         if abs(aug[pivot_row, col]) <= 1e-13 * scale:
-            raise SolveFailure(f"pivot {aug[pivot_row, col]!r} at column {col}")
+            raise SolveFailure(f"pivot {float(aug[pivot_row, col])!r} at column {col}")
         if pivot_row != col:
             aug[[col, pivot_row]] = aug[[pivot_row, col]]
         aug[col] = aug[col] / aug[col, col]
@@ -215,8 +215,9 @@ def ldp_rollout(
     matrices with no call into the solver.
     Trajectories absorb into the goal with the column's missing mass; those
     still alive after ``horizon`` steps count toward truncated_fraction.
-    Trial t draws from numpy's default PCG64 generator seeded with
-    ``seed + t``, so results are reproducible and trials are independent.
+    All trials advance in lockstep from one numpy default PCG64 generator
+    seeded with ``seed``: each step draws one uniform per live trial, in
+    trial order, so results are reproducible and trials are independent.
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise InputError(f"seed must be an integer, got {seed!r}")
@@ -232,26 +233,29 @@ def ldp_rollout(
         )
     Pstar = np.asarray(Pstar, dtype=float)
     h = _stage_costs(r, Pstar)
+    n = r.n_r
     cumulative = np.cumsum(Pstar, axis=0)
 
+    rng = np.random.default_rng(seed)
     costs = np.zeros(trials)
-    truncated = 0
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        state = start_state
-        total = 0.0
-        absorbed = False
-        for _ in range(horizon):
-            total += h[state]
-            u = rng.random()
-            j = int(np.searchsorted(cumulative[:, state], u, side="right"))
-            if j >= r.n_r:
-                absorbed = True
-                break
-            state = j
-        if not absorbed:
-            truncated += 1
-        costs[t] = total
+    alive = np.arange(trials)
+    states = np.full(trials, start_state)
+    for _ in range(horizon):
+        costs[alive] += h[states]
+        u = rng.random(alive.size)
+        # per trial, the number of entries of its state's cumulative column
+        # at or below u (searchsorted side="right"), by a branchless binary
+        # search over the rows: O(trials) work per probe, no trials x n array
+        nxt = np.zeros(alive.size, dtype=np.intp)
+        for step in 1 << np.arange(n.bit_length() - 1, -1, -1):
+            probe = nxt + step
+            below = (probe <= n) & (cumulative[np.minimum(probe, n) - 1, states] <= u)
+            nxt = np.where(below, probe, nxt)
+        kept = nxt < n  # the rest absorbed into the goal
+        alive, states = alive[kept], nxt[kept]
+        if not alive.size:
+            break
+    truncated = alive.size
     mean = float(costs.mean())
     if trials > 1:
         std_error = float(costs.std(ddof=1) / math.sqrt(trials))

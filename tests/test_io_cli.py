@@ -192,8 +192,8 @@ SAMPLE_SOLUTION_SHA256 = {
     "graph_stochastic": "f8eac4bb2348664af3a4cce62371bea33f7615e9f453dcef987e36f21013c002",
     "ldp_random": "b2472b93c87f117e7afd6353f6b29f13fd60daae8572d9ba76f78dde2a0ff45a",
     "ldp_single": "6886074e8dd92d37dc8fc10d30ef9011e77a3227635d67152a69963b17e2eb27",
-    "lqr_random": "1748bd841cf1838b9db086f5305f1782246a2f4c6a9ca6217e77316282d71f1d",
-    "lqr_scalar": "b896eb49c1e26e118fc2b6b4421071bb071e6a76dbe642cf47896892579a2aba",
+    "lqr_random": "5dfa3fa30fb7317394c53082b5c60b3a89cc78907ffd37b5dd6ffb19e6e41f3c",
+    "lqr_scalar": "1c459ca69b2e7e965636ba2e7a94aed9e846b91b89b7e05da1d9cae7da71d675",
     "ssp_raw_single": "f41fe09230d0985ddae43a0ce43ed68ff8a6dfcb0d0b3328eb378bb9d9d9a623",
 }
 
@@ -211,11 +211,12 @@ def test_sample_solutions_match_recorded_digests(tmp_path, monkeypatch):
     assert digests == SAMPLE_SOLUTION_SHA256
 
 
-# SHA-256 of the raw bytes of (lam, K, trace residuals) for graphs and of
-# (lam, z, Pstar, trace residuals) for LDP instances at the benchmark's
-# sizes, recorded before the solvers moved onto one shared support layout.
-# They are computed with one BLAS thread, as the benchmark runs: OpenBLAS
-# rounds the LDP's dense LU differently when it splits it over threads.  A
+# SHA-256 of the raw bytes of (lam, K, trace residuals) for graphs and LQR
+# and of (lam, z, Pstar, trace residuals) for LDP instances at the
+# benchmark's sizes; the SSP and LDP ones were recorded before the solvers
+# moved onto one shared support layout.  They are computed with one BLAS
+# thread, as the benchmark runs: OpenBLAS rounds the LDP's dense LU and the
+# larger LQR products differently when it splits them over threads.  A
 # change that alters these bits on purpose updates the digest here and
 # declares the change; another numpy or BLAS build may round differently.
 BENCHMARK_SIZE_SHA256 = {
@@ -223,13 +224,15 @@ BENCHMARK_SIZE_SHA256 = {
     "chain25": "b2839915cb9f6de8b9d2c677598d59db21e2fa1166d4e335827d2a02f0236970",
     "ldp700": "b4cab83e1c8b29c041dbb4d1026b6fce0e9718c2599d0a4ddad155719dfbebeb",
     "ldp300": "840d164ef266fee072042a5b3da5d68175237aabf88be558170eb3a8fc099404",
+    "lqr120": "b979182146eb27c58e4549cd74f970ba4d8d204e3436e334c09a7451879c5408",
+    "lqr2": "15e02afbb01fc51007c8f7382634a9cd52d3dc6fb8cf242f2f70c42cac2c548f",
 }
 
 BENCHMARK_SIZE_DIGESTS = """
 import hashlib, json
 import numpy as np
-from conebellman import compile_graph, solve_ldp, solve_ssp
-from conebellman.generators import random_chain_graph, random_ldp, random_ssp_graph
+from conebellman import compile_graph, solve_ldp, solve_lqr, solve_ssp
+from conebellman.generators import random_chain_graph, random_ldp, random_lqr, random_ssp_graph
 
 def sha256(*arrays):
     h = hashlib.sha256()
@@ -248,6 +251,9 @@ for name, g in graphs.items():
 for name, (n, seed) in {"ldp700": (700, 64), "ldp300": (300, 2)}.items():
     sol = solve_ldp(random_ldp(n, seed=seed))
     digests[name] = sha256(sol.lam, sol.z, sol.Pstar, [t.residual for t in sol.trace])
+for name, (n, m) in {"lqr120": (120, 60), "lqr2": (2, 1)}.items():
+    sol = solve_lqr(random_lqr(n, m, seed=64))
+    digests[name] = sha256(sol.lam, sol.K, [t.residual for t in sol.trace])
 print(json.dumps(digests))
 """
 

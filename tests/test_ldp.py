@@ -317,9 +317,13 @@ def test_stage_cost_rejects_goal_mass_without_goal_edge():
     r = ReducedLdp(
         Pbar_r=[[0.0, 1.0], [1.0, 0.0]], pbar_g=[0.0, 0.0], s_r=[1.0, 1.0]
     )
-    # column sums below one imply goal mass, but pbar_g is zero
-    # the message's mass is a numpy scalar repr, so only its frame is matched
-    with pytest.raises(InputError, match="column 0 sends mass .* no goal transition"):
+    # column sums below one imply goal mass, but pbar_g is zero; the mass
+    # prints as a plain float, not as a numpy scalar repr
+    message = (
+        "column 0 sends mass 0.09999999999999998 to the goal but "
+        "Pbar_r gives that state no goal transition"
+    )
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         kl_stage_cost(r, np.array([[0.0, 0.9], [0.9, 0.0]]))
 
 
@@ -609,7 +613,7 @@ def _dense_kl_stage_cost(Pr, pg, sr, P):
     if np.any(off_support_goal):
         bad = int(np.argmax(off_support_goal))
         raise InputError(
-            f"column {bad} sends mass {goal_mass[bad]!r} to the goal but "
+            f"column {bad} sends mass {float(goal_mass[bad])!r} to the goal but "
             "Pbar_r gives that state no goal transition"
         )
     kl = np.bincount(cols, weights=vals * np.log(vals / pbar), minlength=n)

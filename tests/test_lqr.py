@@ -1,6 +1,7 @@
 """LQR Riccati recursion: one Cholesky check and one solve per step."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,65 @@ def test_scalar_fixed_point_is_the_golden_ratio():
     assert sol.dare_residual < 1e-12
 
 
+@pytest.mark.parametrize("a", [1.001, 1.01, 1.1])
+def test_weakly_actuated_unstable_scalar_solves(a):
+    # a weak input makes the sweeps from Q grow for more than 50 iterations
+    # before they settle, which the engine reads as divergence; the doubling
+    # seed skips that transient.  lam is the positive root of the scalar DARE
+    # b^2 x^2 + (r - a^2 r - q b^2) x - q r = 0.
+    b = 1e-3
+    sol = solve_lqr(LqrProblem(A=[[a]], B=[[b]], Q=[[1.0]], R=[[1.0]]))
+    c = 1.0 - a * a - b * b
+    exact = (-c + np.sqrt(c * c + 4.0 * b * b)) / (2.0 * b * b)
+    assert sol.lam[0, 0] == pytest.approx(exact, rel=1e-12)
+    assert sol.rho_closed_loop < 1.0
+
+
+def test_singular_input_cost_takes_the_plain_sweep():
+    # R = diag(1, 0) has no Cholesky factor, so there is no doubling seed and
+    # the sweeps start from Q, bit for bit as before the seed existed
+    p = LqrProblem(
+        A=[[1.2, 0.3], [0.0, 0.9]], B=np.eye(2), Q=np.eye(2), R=np.diag([1.0, 0.0])
+    )
+    assert lqr._doubling_seed(p) is None
+    sol = solve_lqr(p)
+    assert len(sol.trace) == 15
+    lam = [
+        "0x1.f10cfaa7fdfe5p+0",
+        "0x1.e219f54ffbfc6p-3",
+        "0x1.e219f54ffbfc6p-3",
+        "0x1.0f10cfaa7fdfep+0",
+    ]
+    K = [
+        "-0x1.91c04c6d5c484p-1",
+        "-0x1.91c04c6d5c484p-3",
+        "-0x1.7a3464e8a4539p-4",
+        "-0x1.d89e6ff411ef7p-1",
+    ]
+    assert [x.hex() for x in sol.lam.ravel()] == lam
+    assert [x.hex() for x in sol.K.ravel()] == K
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # no inputs: the seed is Smith doubling of the Lyapunov sum
+        LqrProblem(
+            A=[[0.5, 0.1], [0.0, 0.7]], B=np.zeros((2, 0)), Q=np.eye(2), R=np.zeros((0, 0))
+        ),
+        # Q only semidefinite (the intake warning path), unstable open loop
+        LqrProblem(A=[[1.1, 0.2], [0.0, 0.8]], B=[[1.0], [0.5]], Q=np.diag([1.0, 0.0]), R=[[1.0]]),
+    ],
+    ids=["no-inputs", "semidefinite-Q"],
+)
+def test_edge_instances_certify_from_the_seed(p):
+    assert lqr._doubling_seed(p) is not None
+    sol = solve_lqr(p)
+    assert float(np.linalg.eigvalsh(sol.lam)[0]) > 0.0
+    assert sol.rho_closed_loop < 1.0
+    assert float(np.max(np.abs(sol.lam - naive_dare(p, tol=1e-13)))) < 1e-9
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_solution_matches_plain_iteration_oracle(seed):
     p = random_lqr(3 + seed, 1 + seed % 3, seed=40 + seed)
@@ -320,9 +380,13 @@ def test_no_stabilizing_perturbation_beats_the_optimum():
 def test_unstabilizable_system_diverges():
     from conebellman import Diverged
 
+    # doubling overflows without a warning and the sweep from Q diverges
     p = LqrProblem(A=[[2.0]], B=[[0.0]], Q=[[1.0]], R=[[1.0]])
-    with pytest.raises(Diverged):
-        solve_lqr(p)
+    message = "iterate magnitude 1.466e+12 exceeded cap 1.000e+12 at iteration 19"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged, match=f"^{re.escape(message)}$"):
+            solve_lqr(p)
 
 
 @pytest.mark.parametrize("seed", range(3))
