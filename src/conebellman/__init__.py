@@ -2,11 +2,13 @@
 
 Three control problems whose Bellman equations share one algebraic shape —
 a constant term plus independent blockwise minima plus a cone-monotone
-linear term — solved by one engine iterating one vectorized step per class:
+linear term:
 
-- shortest-path control of positive linear systems (`ssp`),
-- discrete-time LQR via decomposed Riccati steps (`lqr`),
-- KL-control / linearly solvable MDPs via desirability (`ldp`),
+- shortest-path control of positive linear systems (`ssp`) and
+  discrete-time LQR via decomposed Riccati steps (`lqr`), solved by one
+  engine iterating one vectorized step per class;
+- KL-control / linearly solvable MDPs (`ldp`), whose minima have a closed
+  form, solved by Newton's method in the value with sparse Krylov steps,
 
 with independent brute-force oracles (`oracles`) for cross-validation and a
 batch CLI (``conebellman solve|verify``).

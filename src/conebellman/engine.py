@@ -6,8 +6,8 @@ The engine iterates one operator on plain arrays,
 
 until the sup-norm of successive iterates falls below a tolerance, then runs
 one extra verification sweep so that the stationarity residual of the returned
-candidate is certified as well.  Each problem class (shortest path, Riccati,
-desirability) supplies a single vectorized ``step`` that evaluates all of its
+candidate is certified as well.  Each problem class it drives (shortest path,
+Riccati) supplies a single vectorized ``step`` that evaluates all of its
 independent block minima at once; the minimizer it returns alongside the next
 iterate is whatever that class needs to recover its policy, and the one
 returned by the engine comes from the same sweep that certified the solution.

@@ -7,38 +7,44 @@ state cost s plus the KL divergence of the reshaped column from the
 original.  Goal states are absorbing and free.
 
 Removing the goal rows/columns leaves a substochastic reduced system where
-the Bellman equation decomposes per column.  Under z = exp(-lam) the
-minimized equation collapses to the affine system
+the Bellman equation decomposes per column.  Minimized in closed form it is
 
-    z = G (P̄_r^T z + p̄_g),        G = diag(exp(-s_r)),
+    F(lam) = lam - s_r + log(P̄_r^T e^{-lam} + p̄_g) = 0,
 
-solved by Gaussian elimination once its support graph certifies
-rho(G P̄_r^T) < 1 (see `solve_desirability`).  The fallback iterates the same
-map as one vectorized step of the fixed-point engine from z0 = 0 (monotone
-increasing).  The optimal controlled transitions then have the closed form
-p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i).
+the equation z = G (P̄_r^T z + p̄_g), G = diag(e^{-s_r}), of the
+desirability z = e^{-lam} written in lam, where nothing underflows.
+`solve_desirability` solves it by Newton's method, which is policy
+iteration: each step evaluates the current greedy policy with one sparse
+Krylov solve.  The optimal controlled transitions have the closed form
+p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i), evaluated with each column shifted
+by its least lam so that large values never turn it into 0/0.
 
 Every stage runs on the support (see `sparse`).  Each dense matrix received
 (P̄, a directly built P̄_r, the P given to `kl_stage_cost`) is scanned once
 for its support; `reduce` hands the reduced support to ReducedLdp with no
 rescan.  All other work is O(nnz) on supports, and dense outputs are
 scattered from them.  Column sums add each column in ascending row order as
-``P.sum(axis=0)`` does, so results keep their bits.  Only the one dense LU
-of the direct solve is not O(nnz).
+``P.sum(axis=0)`` does, and inner products are numpy reductions rather than
+BLAS calls, so results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SolveConfig, TraceRecord, fixed_point_solve
-from .errors import CertificationError, InputError, SolveFailure
+from .engine import SolveConfig, TraceRecord
+from .errors import CertificationError, InputError, MaxIterExceeded, SolveFailure
 from .sparse import Support, colsums, dense, frozen, row_entries, row_pointer, scan, tdot
 
 _STOCHASTIC_TOL = 1e-12
+_RESTART = 100  # Krylov basis size of one GMRES cycle
+_DEGREE = 3  # terms of the Neumann polynomial that preconditions GMRES
+_NEWTON_STEPS = 50  # Newton still above tol after this many steps has stalled
+_sum = np.add.reduce  # np.sum's reduction without its Python wrapper
 
 
 @dataclass(frozen=True)
@@ -213,89 +219,200 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     return ReducedLdp(Pbar_r=reduced, pbar_g=pbar_g, s_r=p.s[idx])
 
 
-def _desirability_step(r: ReducedLdp):
-    """The fallback map z -> G(P̄_r^T z + p̄_g) as one step; it has no minimizer.
+def _shifted(S: Support, pbar_g: np.ndarray, lam: np.ndarray):
+    """Column shift m, shifted weights w and column totals T at lam.
 
-    The map is affine and monotone, so iterates from z0 = 0 increase toward
-    the solution.
+    m_i is the least lam_j over column i's support, together with 0 when
+    (p̄_g)_i > 0, so w_ji = P̄_ji e^{m_i - lam_j} <= P̄_ji and the largest
+    term of each T_i = sum_j w_ji + (p̄_g)_i e^{m_i} is not shifted at all:
+    nothing underflows before the log, and
+    log(P̄^T e^{-lam} + p̄_g)_i = log T_i - m_i.
     """
-    g = np.exp(-r.s_r)
-    return lambda z: (g * (tdot(r._Pbar_r, z) + r.pbar_g), None)
+    m = np.where(pbar_g > 0.0, 0.0, np.inf)
+    lam_rows = lam[S.rows]
+    np.minimum.at(m, S.cols, lam_rows)
+    w = S.vals * np.exp(m[S.cols] - lam_rows)
+    # a column with no goal mass may have m > 0; its goal term is 0 either way
+    T = colsums(S.cols, w, len(lam)) + pbar_g * np.exp(np.minimum(m, 0.0))
+    return m, w, T
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_sum(x * x))
+
+
+def _gmres(P: Support, b: np.ndarray) -> np.ndarray:
+    """x with |b - (I - P^T) x|_2 <= eta min(|b|_2, 1) by GMRES's residual norm.
+
+    eta = min(0.1, max(|b|_2, 1e-4)).  Near the solution b = -F and
+    eta = |F|_2, so Newton converges quadratically.  Far from it the error
+    is capped in absolute terms: a looser step can land lam below the
+    solution, where P* nearly closes a cycle with no goal mass and the next
+    Jacobian is nearly singular.
+
+    GMRES runs right-preconditioned by the Neumann polynomial
+    M^-1 = I + P^T + ... + (P^T)^(_DEGREE - 1), on the operator
+    (I - P^T) M^-1 = I - (P^T)^_DEGREE, whose eigenvalues cluster at 1
+    (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., sec. 12.3);
+    right preconditioning leaves the residual that of the original system.
+    Arnoldi uses classical Gram-Schmidt, and Givens rotations reduce each
+    Hessenberg column as it arrives, so the residual norm of every step is
+    known without a least-squares solve (Saad & Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986).  The solve ends when that norm meets the target;
+    after _RESTART steps short of it, the next cycle restarts from the true
+    residual.  A cycle that cuts the true residual by less than a tenth (or
+    leaves it NaN) raises MaxIterExceeded; a zero Hessenberg column, I - P^T
+    singular in floating point, raises SolveFailure.  Every inner product
+    is an np.add.reduce, never a BLAS call, so x does not depend on the
+    BLAS thread count.
+    """
+    _, rows, cols, vals = P
+    n = b.size
+    x = np.zeros(n)
+    residual = b
+    beta = _norm(b)
+    target = min(0.1, max(beta, 1e-4)) * min(beta, 1.0)
+    V = np.empty((min(_RESTART, n) + 1, n))
+    steps = 0
+    last = math.inf
+    while not beta <= target:
+        if not beta < 0.9 * last:
+            raise MaxIterExceeded(
+                f"Krylov solve stalled at residual {beta:.3e} (target {target:.3e}) "
+                f"after {steps} steps"
+            )
+        last = beta
+        np.divide(residual, beta, out=V[0])
+        R: list[list[float]] = []  # columns of the rotated Hessenberg matrix
+        cs: list[float] = []
+        sn: list[float] = []
+        g = [beta]  # the rotated right-hand side beta e_1
+        for j in range(V.shape[0] - 1):
+            v = u = V[j]
+            for _ in range(_DEGREE):
+                u = np.bincount(cols, vals * u[rows], minlength=n)
+            w = v - u  # (I - (P^T)^_DEGREE) v
+            basis = V[: j + 1]
+            h = _sum(basis * w, axis=1)
+            w -= _sum(h[:, None] * basis, axis=0)
+            col = h.tolist()
+            h_next = _norm(w)
+            for i in range(j):
+                a, c = col[i], col[i + 1]
+                col[i] = cs[i] * a + sn[i] * c
+                col[i + 1] = cs[i] * c - sn[i] * a
+            d = math.hypot(col[j], h_next)
+            if d == 0.0:
+                raise SolveFailure("Krylov solve broke down: I - P*^T is singular")
+            cs.append(col[j] / d)
+            sn.append(h_next / d)
+            col[j] = d
+            g.append(-sn[j] * g[j])
+            g[j] *= cs[j]
+            R.append(col)
+            if abs(g[j + 1]) <= target or h_next == 0.0:
+                break
+            np.divide(w, h_next, out=V[j + 1])
+        k = len(R)
+        steps += k
+        y = [0.0] * k
+        for i in range(k - 1, -1, -1):
+            acc = g[i]
+            for l in range(i + 1, k):
+                acc -= R[l][i] * y[l]
+            y[i] = acc / R[i][i]
+        step = _sum(np.array(y)[:, None] * V[:k], axis=0)
+        x = x + step
+        for _ in range(_DEGREE - 1):  # x += M^-1 (V y), term by term
+            step = tdot(P, step)
+            x = x + step
+        if abs(g[k]) <= target:
+            return x
+        residual = b - (x - tdot(P, x))
+        beta = _norm(residual)
+    return x
 
 
 def solve_desirability(
     r: ReducedLdp, cfg: SolveConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray, list[TraceRecord]]:
-    """Solve z = G(P̄_r^T z + p̄_g); return (z, lam, trace) with lam = -log z.
+    """Solve the Bellman equation for lam by Newton's method; return (z, lam, trace).
 
-    rho(G P̄_r^T) < 1 is certified exactly first: the rows of G P̄_r^T sum to
-    exp(-s_i)(1 - (p̄_g)_i) <= 1, strictly less at a deficient state (s_i > 0
-    or (p̄_g)_i > 0), and then rho < 1 iff every state has a support path to
-    a deficient one (absorbing chains; Berman & Plemmons, Nonnegative Matrices
-    in the Mathematical Sciences, ch. 6), else SolveFailure.  Then the direct
-    solve of (I - G P̄_r^T) z = G p̄_g, or, if that fails or leaves a residual
-    at or above tol, the affine map iterated from z0 = 0.  Certifies the final
-    residual below tol and z in (0, 1].
+    The equation is F(lam) = lam - s_r + log(P̄_r^T e^{-lam} + p̄_g) = 0,
+    evaluated with the per-column shift of `_shifted`, and z = e^{-lam}
+    (which may underflow to 0 where lam is large).  Its Jacobian is
+    I - P*^T, with P* the policy `optimal_policy` returns at lam, so Newton
+    is policy iteration for linearly solvable MDPs (Todorov, PNAS 106, 2009).
+
+    Certified first, exactly, on the support: every state must reach goal
+    mass ((p̄_g)_j > 0).  A state that cannot reach a state with positive
+    cost or goal mass raises SolveFailure, as rho(G P̄_r^T) = 1 there
+    (absorbing chains; Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6); one that reaches only costly states has
+    infinite value and raises CertificationError.  Then I - P^T is a
+    nonsingular M-matrix for every policy P on the support of P̄_r.
+
+    Newton starts at lam = 0, where P* = P̄_r, so its first step solves for
+    the passive policy's cost, (I - P̄_r^T) lam = s_r.  Each step solves
+    (I - P*^T) delta = -F(lam) by restarted GMRES (see `_gmres`).  Once
+    sup|F| < tol, which a NaN or infinite lam never meets, one more step is
+    taken: there Newton converges quadratically, so it takes lam to rounding
+    level, and of the two iterates the one with the smaller residual is
+    returned.  The trace holds sup|F| at every iterate.  A Krylov solve
+    that stalls, or more than min(max_iter, 50) steps, raise
+    MaxIterExceeded.
     """
-    cfg = cfg or SolveConfig()
-    t0 = time.perf_counter_ns()
-    _, rows, cols, vals = S = r._Pbar_r
-    n = r.n_r
-    deficient = (r.s_r > 0.0) | (r.pbar_g > 0.0)
-    if not deficient.all():
+    S = r._Pbar_r
+    to_goal = r.pbar_g > 0.0
+    reach = _reaches(S, to_goal)
+    if not reach.all():
+        deficient = (r.s_r > 0.0) | to_goal
         closed = np.flatnonzero(~_reaches(S, deficient))
         if closed.size:
             raise SolveFailure(
                 f"rho(G Pbar_r^T) = 1: states {closed.tolist()} never reach the goal"
             )
-    g = np.exp(-r.s_r)
-    gp = g[cols] * vals  # entry (cols, rows) of G P̄_r^T
-    rhs = g * r.pbar_g
+        raise CertificationError(
+            f"states {np.flatnonzero(~reach).tolist()} never reach goal mass: "
+            "their value is infinite"
+        )
+    return _newton(r, cfg or SolveConfig())
 
-    def affine_residual(z: np.ndarray) -> float:
-        return float(np.abs(z - (colsums(cols, gp * z[rows], n) + rhs)).max(initial=0.0))
 
-    # I - G P̄_r^T rounded as np.eye(n) - G P̄_r^T rounds it: 0.0 - x off the
-    # diagonal (+0.0 where x underflows) and 1.0 - x on it
-    M = dense(Support((n, n), cols, rows, 0.0 - gp))
-    M.reshape(-1)[:: n + 1] += 1.0
-    z = None
-    try:
-        cand = np.linalg.solve(M, rhs)
-        residual = affine_residual(cand)
+def _newton(r: ReducedLdp, cfg: SolveConfig):
+    """`solve_desirability` once every state is known to reach goal mass."""
+    t0 = time.perf_counter_ns()
+    S = r._Pbar_r
+    lam = np.zeros(r.n_r)
+    trace: list[TraceRecord] = []
+    met = None  # (residual, lam) at the first iterate below tol
+    while True:
+        m, w, T = _shifted(S, r.pbar_g, lam)
+        F = lam - r.s_r + (np.log(T) - m)
+        residual = float(np.abs(F).max(initial=0.0))
+        trace.append(TraceRecord(len(trace), residual, time.perf_counter_ns() - t0))
+        if met is not None:
+            if not residual <= met[0]:
+                lam = met[1]
+            break
         if residual < cfg.tol:
-            z = cand
-            trace = [TraceRecord(0, residual, time.perf_counter_ns() - t0)]
-    except np.linalg.LinAlgError:
-        z = None
-    if z is None:
-        # iterate to stationarity below tol (the engine certifies 10x its tol)
-        inner = replace(cfg, tol=cfg.tol / 10.0)
-        result = fixed_point_solve(_desirability_step(r), np.zeros(n), inner)
-        z = result.value
-        trace = result.trace
-        residual = affine_residual(z)
-
-    if not residual < cfg.tol:  # a NaN residual fails too
-        raise CertificationError(
-            f"desirability residual {residual:.3e} >= tol {cfg.tol:.3e}"
-        )
-    if z.size and float(z.min()) <= 0.0:
-        raise CertificationError("desirability has non-positive entries")
-    if z.size and float(z.max()) > 1.0 + 1e-12:
-        raise CertificationError(
-            f"desirability exceeds 1 (max {float(z.max())!r}); costs must be >= 0"
-        )
-    z = np.minimum(z, 1.0)
-    lam = -np.log(z)
-    return z, lam, trace
+            met = (residual, lam)
+        elif len(trace) > min(cfg.max_iter, _NEWTON_STEPS):
+            raise MaxIterExceeded(
+                f"Newton residual {residual:.3e} still above tol {cfg.tol:.1e} "
+                f"after {len(trace) - 1} steps"
+            )
+        lam = lam + _gmres(S._replace(vals=w / T[S.cols]), -F)
+    return np.exp(-lam), lam, trace
 
 
 def optimal_policy(r: ReducedLdp, lam: np.ndarray) -> np.ndarray:
     """Closed-form minimizing transitions: p_i* = p̄_i ∘ z / (p̄_i^T z + (p̄_g)_i).
 
-    Zeros of p̄_i stay exactly zero, and each column's implied goal mass
-    1 - 1^T p_i* is nonnegative because the goal term sits in the denominator.
+    Evaluated with the per-column shift of `_shifted`, so large lam never
+    turns a column into 0/0.  Zeros of p̄_i stay exactly zero, and each
+    column's implied goal mass 1 - 1^T p_i* is nonnegative because the goal
+    term sits in the denominator.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (r.n_r,):
@@ -303,19 +420,12 @@ def optimal_policy(r: ReducedLdp, lam: np.ndarray) -> np.ndarray:
     if lam.size and not np.all(np.isfinite(lam)):
         raise InputError("lam must be finite")
     S = r._Pbar_r
-    w = S.vals * np.exp(-lam)[S.rows]
-    denom = colsums(S.cols, w, r.n_r) + r.pbar_g
-    return dense(S._replace(vals=w / denom[S.cols]))
+    _, w, T = _shifted(S, r.pbar_g, lam)
+    return dense(S._replace(vals=w / T[S.cols]))
 
 
-def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
-    """Per-state cost of running controlled transitions P instead of P̄_r.
-
-    h_i = s_i + sum_j P_ji log(P_ji / P̄_ji) + g_i log(g_i / (p̄_g)_i), where
-    g_i = 1 - 1^T p_i is the controlled goal mass; 0 log 0 terms are zero.
-    Columns must stay inside the support of P̄_r (anything else has infinite
-    KL cost), and states with zero goal mass in P̄_r must keep zero goal mass.
-    """
+def _stage_cost(r: ReducedLdp, P: np.ndarray) -> tuple[np.ndarray, Support]:
+    """`kl_stage_cost` of P, and the support of P it summed over."""
     P = np.asarray(P, dtype=float)
     if P.shape != (r.n_r, r.n_r):
         raise InputError(f"P must be {r.n_r} x {r.n_r}, got {P.shape}")
@@ -347,16 +457,31 @@ def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
     gm = np.maximum(goal_mass, 0.0)
     safe_goal = np.where(r.pbar_g > 0.0, r.pbar_g, 1.0)
     pi = np.where(gm > 0.0, gm * np.log(np.where(gm > 0.0, gm, 1.0) / safe_goal), 0.0)
-    return r.s_r + kl + pi
+    return r.s_r + kl + pi, Support(P.shape, rows, cols, vals)
+
+
+def kl_stage_cost(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
+    """Per-state cost of running controlled transitions P instead of P̄_r.
+
+    h_i = s_i + sum_j P_ji log(P_ji / P̄_ji) + g_i log(g_i / (p̄_g)_i), where
+    g_i = 1 - 1^T p_i is the controlled goal mass; 0 log 0 terms are zero.
+    Columns must stay inside the support of P̄_r (anything else has infinite
+    KL cost), and states with zero goal mass in P̄_r must keep zero goal mass.
+    """
+    return _stage_cost(r, P)[0]
 
 
 def verify_bellman(r: ReducedLdp, lam: np.ndarray, Pstar: np.ndarray) -> float:
-    """Sup-norm defect of (lam, Pstar) in lam = h(Pstar) + Pstar^T lam."""
+    """Sup-norm defect of (lam, Pstar) in lam = h(Pstar) + Pstar^T lam.
+
+    Pstar^T lam is summed over the support `kl_stage_cost` scans, each
+    column in ascending row order.
+    """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (r.n_r,):
         raise InputError(f"lam must have length {r.n_r}, got {lam.shape}")
-    h = kl_stage_cost(r, Pstar)
-    return float(np.abs(lam - (h + np.asarray(Pstar).T @ lam)).max(initial=0.0))
+    h, P = _stage_cost(r, Pstar)
+    return float(np.abs(lam - (h + tdot(P, lam))).max(initial=0.0))
 
 
 def solve_ldp(p: LdpProblem, cfg: SolveConfig | None = None) -> LdpSolution:
@@ -367,7 +492,8 @@ def solve_ldp(p: LdpProblem, cfg: SolveConfig | None = None) -> LdpSolution:
     """
     cfg = cfg or SolveConfig()
     r = reduce(p)
-    z, lam, trace = solve_desirability(r, cfg)
+    # reduce proved that every state reaches a goal, so reaches goal mass
+    z, lam, trace = _newton(r, cfg)
     Pstar = optimal_policy(r, lam)
     residual = verify_bellman(r, lam, Pstar)
     if not residual < 10.0 * cfg.tol:  # a NaN residual fails too

@@ -5,7 +5,7 @@ deliberately different numerics and sharing no code path with the solver it
 checks: dense synchronous value sweeps with explicit vertex enumeration
 instead of the block engine, classical Dijkstra labels instead of the
 compiled fixed point, Gauss-Jordan inversion instead of Cholesky solves,
-log-sum-exp iteration instead of the affine desirability solve, and Monte
+log-sum-exp iteration instead of the Newton-Krylov Bellman solve, and Monte
 Carlo rollouts instead of anything analytic.  None of this is built for
 speed.
 """

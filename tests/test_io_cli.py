@@ -190,8 +190,8 @@ SAMPLE_SOLUTION_SHA256 = {
     "graph_chain": "51a9f2384fcff4cc823bcf269dea2b929f6351a1acdc74c9e7f77c8bd9f4e449",
     "graph_random": "7e313c85826c3826f2b1d50a1721c16eb78fe6615064fde33a2ee793a7c66ac0",
     "graph_stochastic": "f8eac4bb2348664af3a4cce62371bea33f7615e9f453dcef987e36f21013c002",
-    "ldp_random": "b2472b93c87f117e7afd6353f6b29f13fd60daae8572d9ba76f78dde2a0ff45a",
-    "ldp_single": "6886074e8dd92d37dc8fc10d30ef9011e77a3227635d67152a69963b17e2eb27",
+    "ldp_random": "e87b29e64ba5f9bea09957b3282b05104aa0c73727891c9e2679e43ae6665b1b",
+    "ldp_single": "49ad1f95c3471b0b3d248388791744219b416e2a9cec11905fe622a984d856e8",
     "lqr_random": "5dfa3fa30fb7317394c53082b5c60b3a89cc78907ffd37b5dd6ffb19e6e41f3c",
     "lqr_scalar": "1c459ca69b2e7e965636ba2e7a94aed9e846b91b89b7e05da1d9cae7da71d675",
     "ssp_raw_single": "f41fe09230d0985ddae43a0ce43ed68ff8a6dfcb0d0b3328eb378bb9d9d9a623",
@@ -213,17 +213,17 @@ def test_sample_solutions_match_recorded_digests(tmp_path, monkeypatch):
 
 # SHA-256 of the raw bytes of (lam, K, trace residuals) for graphs and LQR
 # and of (lam, z, Pstar, trace residuals) for LDP instances at the
-# benchmark's sizes; the SSP and LDP ones were recorded before the solvers
-# moved onto one shared support layout.  They are computed with one BLAS
-# thread, as the benchmark runs: OpenBLAS rounds the LDP's dense LU and the
-# larger LQR products differently when it splits them over threads.  A
-# change that alters these bits on purpose updates the digest here and
-# declares the change; another numpy or BLAS build may round differently.
+# benchmark's sizes; the SSP ones were recorded before the solvers moved
+# onto one shared support layout.  They are computed with one BLAS thread,
+# as the benchmark runs: OpenBLAS rounds the larger LQR products
+# differently when it splits them over threads.  A change that alters
+# these bits on purpose updates the digest here and declares the change;
+# another numpy or BLAS build may round differently.
 BENCHMARK_SIZE_SHA256 = {
     "ssp300": "3eb8d6cf68e9e674800dd1e311ace735a13b36e315d380a1853652d9283da1a7",
     "chain25": "b2839915cb9f6de8b9d2c677598d59db21e2fa1166d4e335827d2a02f0236970",
-    "ldp700": "b4cab83e1c8b29c041dbb4d1026b6fce0e9718c2599d0a4ddad155719dfbebeb",
-    "ldp300": "840d164ef266fee072042a5b3da5d68175237aabf88be558170eb3a8fc099404",
+    "ldp700": "8f7911c9fc59c380578e3c94c0bde146120a595ea4647985f563a8acc5c14b93",
+    "ldp300": "1954f7f0adb0e87906857fba0df6b73c9446d560804fc5cff42eb87692ad760f",
     "lqr120": "b979182146eb27c58e4549cd74f970ba4d8d204e3436e334c09a7451879c5408",
     "lqr2": "15e02afbb01fc51007c8f7382634a9cd52d3dc6fb8cf242f2f70c42cac2c548f",
 }
@@ -275,6 +275,38 @@ def test_benchmark_size_solutions_match_recorded_digests():
     )
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == BENCHMARK_SIZE_SHA256
+
+
+LDP300_SOLVE = """
+import sys
+from conebellman.generators import random_ldp
+from conebellman.io import dumps_deterministic
+p = random_ldp(300, seed=2)
+problem = {"type": "ldp", "Pbar": p.Pbar, "s": p.s, "goals": list(p.goals)}
+with open(sys.argv[1], "w") as f:
+    f.write(dumps_deterministic(problem))
+"""
+
+
+def test_ldp_solution_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the LDP solve makes no BLAS call; a dense LU once made the bytes of
+    # this file differ between one and two OpenBLAS threads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    prob = tmp_path / "ldp300.json"
+    subprocess.run([sys.executable, "-c", LDP300_SOLVE, str(prob)], check=True, env=env)
+    solutions = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        res = subprocess.run(
+            [sys.executable, "-m", "conebellman.cli", "solve", str(prob), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert res.returncode == 0, res.stderr
+        solutions.append((out / "solution.json").read_bytes())
+    assert solutions[0] == solutions[1]
 
 
 @pytest.mark.parametrize("field, bad", [("A", float("nan")), ("B", float("inf"))])
