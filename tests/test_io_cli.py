@@ -190,8 +190,8 @@ SAMPLE_SOLUTION_SHA256 = {
     "graph_chain": "51a9f2384fcff4cc823bcf269dea2b929f6351a1acdc74c9e7f77c8bd9f4e449",
     "graph_random": "7e313c85826c3826f2b1d50a1721c16eb78fe6615064fde33a2ee793a7c66ac0",
     "graph_stochastic": "f8eac4bb2348664af3a4cce62371bea33f7615e9f453dcef987e36f21013c002",
-    "ldp_random": "e87b29e64ba5f9bea09957b3282b05104aa0c73727891c9e2679e43ae6665b1b",
-    "ldp_single": "49ad1f95c3471b0b3d248388791744219b416e2a9cec11905fe622a984d856e8",
+    "ldp_random": "64efc11d1b5ef2016d38746be815ccc19ce87ca7e540f34313e854068e664154",
+    "ldp_single": "182a8308bdac3d2aac7b66797cc8468629b45b36aaf76d977b3835f81b48aaa7",
     "lqr_random": "5dfa3fa30fb7317394c53082b5c60b3a89cc78907ffd37b5dd6ffb19e6e41f3c",
     "lqr_scalar": "1c459ca69b2e7e965636ba2e7a94aed9e846b91b89b7e05da1d9cae7da71d675",
     "ssp_raw_single": "f41fe09230d0985ddae43a0ce43ed68ff8a6dfcb0d0b3328eb378bb9d9d9a623",
@@ -222,8 +222,8 @@ def test_sample_solutions_match_recorded_digests(tmp_path, monkeypatch):
 BENCHMARK_SIZE_SHA256 = {
     "ssp300": "3eb8d6cf68e9e674800dd1e311ace735a13b36e315d380a1853652d9283da1a7",
     "chain25": "b2839915cb9f6de8b9d2c677598d59db21e2fa1166d4e335827d2a02f0236970",
-    "ldp700": "8f7911c9fc59c380578e3c94c0bde146120a595ea4647985f563a8acc5c14b93",
-    "ldp300": "1954f7f0adb0e87906857fba0df6b73c9446d560804fc5cff42eb87692ad760f",
+    "ldp700": "faf7ff677d22e883b75006eb5cdc9385cd8aa8f169b6b10fa57f02faa652fc97",
+    "ldp300": "49af6b932951d03cfc730b98225465edc3a6ddd779c820d317e84ead201ee629",
     "lqr120": "b979182146eb27c58e4549cd74f970ba4d8d204e3436e334c09a7451879c5408",
     "lqr2": "15e02afbb01fc51007c8f7382634a9cd52d3dc6fb8cf242f2f70c42cac2c548f",
 }

@@ -293,6 +293,20 @@ def test_costly_instance_matches_the_oracle(scale):
     assert np.array_equal(sol.Pstar > 0.0, optimal_policy(r, vi) > 0.0)
 
 
+def test_long_deterministic_chain_solves():
+    # i -> i + 1 up to the goal n, so lam_i = s (n - i).  On a chain no
+    # polynomial in P*^T of degree below n solves the Newton system, so one
+    # GMRES cycle falls far short and the solve rests on restarts that
+    # keep cutting the residual, however slowly
+    n, s = 2000, 0.01
+    P = np.zeros((n + 1, n + 1))
+    P[np.arange(1, n + 1), np.arange(n)] = 1.0
+    P[n, n] = 1.0
+    sol = solve_ldp(LdpProblem(Pbar=P, s=np.r_[np.full(n, s), 0.0], goals=(n,)))
+    np.testing.assert_allclose(sol.lam, s * np.arange(n, 0, -1), rtol=1e-12, atol=0.0)
+    assert sol.bellman_residual < 1e-9
+
+
 @pytest.mark.parametrize("scale", [1e3, 1e5])
 def test_costly_instance_solves_and_verifies_from_the_cli(tmp_path, capsys, scale):
     p = costly_ldp(scale)
