@@ -115,10 +115,11 @@ def _dispatch_solve(parsed: ParsedProblem, cfg: SolveConfig):
         return out, sol.trace
     sol = solve_ldp(parsed.problem, cfg)
     p = parsed.problem
-    nongoal = [x for x in range(p.n) if x not in p.goals]
+    nongoal = np.ones(p.n, dtype=bool)
+    nongoal[list(p.goals)] = False
     out = {
         "type": "ldp",
-        "nongoal_states": nongoal,
+        "nongoal_states": np.flatnonzero(nongoal),
         "lambda": sol.lam,
         "z": sol.z,
         "Pstar": sol.Pstar,

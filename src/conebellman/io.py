@@ -15,7 +15,9 @@ is column-stochastic), so Pbar[j][i] in JSON is the i -> j probability.
 
 Serialization is deterministic: floats are written with 17 significant
 digits (enough to round-trip IEEE doubles exactly), keys in fixed order, so
-identical solves produce byte-identical files.
+identical solves produce byte-identical files.  Float and integer arrays
+are written row by row with the same bytes as element by element: a zero
+is "0" or "-0", and only nonzeros are formatted.
 """
 
 from __future__ import annotations
@@ -232,6 +234,29 @@ def load_problem(path: str) -> ParsedProblem:
 # Deterministic emission
 # ---------------------------------------------------------------------------
 
+def _array_text(a: np.ndarray) -> str:
+    """``_emit(a.tolist())`` for a float or integer array with ndim >= 1: one
+    finiteness pass, "{:.17g}" on the nonzeros only, one join per row."""
+    if a.dtype.kind == "f":
+        x = a.astype(np.float64, copy=False).ravel()
+        finite = np.isfinite(x)
+        if not finite.all():
+            bad = float(x[np.argmin(finite)])
+            raise ValueError(f"refusing to serialize non-finite float {bad!r}")
+        items = ["0"] * x.size
+        for i in np.flatnonzero(np.signbit(x) & (x == 0.0)).tolist():
+            items[i] = "-0"
+        nz = np.flatnonzero(x)
+        for i, s in zip(nz.tolist(), map("{:.17g}".format, x[nz].tolist())):
+            items[i] = s
+    else:
+        items = list(map(str, a.ravel().tolist()))
+    for axis in range(a.ndim - 1, -1, -1):
+        k, rows = a.shape[axis], math.prod(a.shape[:axis])
+        items = ["[" + ", ".join(items[i * k:(i + 1) * k]) + "]" for i in range(rows)]
+    return items[0]
+
+
 def _emit(value, out: list[str]) -> None:
     if value is None:
         out.append("null")
@@ -247,7 +272,10 @@ def _emit(value, out: list[str]) -> None:
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, np.ndarray):
-        _emit(value.tolist(), out)
+        if value.ndim and value.dtype.kind in "fiu":
+            out.append(_array_text(value))
+        else:
+            _emit(value.tolist(), out)
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for k, item in enumerate(value):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -133,6 +134,85 @@ def test_dump_handles_arrays_and_nesting():
     assert text == '{"m": [[1.5, 2]], "t": [1, 2]}'
 
 
+def reference_emit(value, out):
+    """The element-by-element emitter that array emission must reproduce."""
+    if value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError(f"refusing to serialize non-finite float {x!r}")
+        out.append(format(x, ".17g"))
+    elif isinstance(value, np.ndarray):
+        reference_emit(value.tolist(), out)
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for k, item in enumerate(value):
+            if k:
+                out.append(", ")
+            reference_emit(item, out)
+        out.append("]")
+    else:
+        raise ValueError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_dumps(value) -> str:
+    out = []
+    reference_emit(value, out)
+    return "".join(out)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 1.0 / 3.0, 2.0, -7.0, 1e16]
+EDGE_SHAPES = [(), (0,), (0, 0), (3, 0), (0, 3), (1,), (4,), (2, 3), (2, 2, 2), (1, 1, 1, 1)]
+
+
+def edge_arrays():
+    rng = np.random.default_rng(7)
+    for shape in EDGE_SHAPES:
+        size = math.prod(shape)
+        picks = rng.choice(EDGE_FLOATS, size=size)
+        noise = rng.standard_normal(size) * (rng.random(size) < 0.3)
+        floats = np.where(noise != 0.0, noise, picks).reshape(shape)
+        yield from map(np.asarray, (
+            floats,
+            np.clip(floats, -1e38, 1e38).astype(np.float32),
+            floats.T,  # row-major text of a non-contiguous view
+            rng.integers(-(2**62), 2**62, size=shape, dtype=np.int64),
+            rng.integers(0, 4, size=shape, dtype=np.uint8),
+            rng.random(shape) < 0.5,
+        ))
+    yield np.array(EDGE_FLOATS)
+    yield np.array([-0.0, 0.0, 1e-45, -3.4e38, 1.0 / 3.0], dtype=np.float32)
+
+
+@pytest.mark.parametrize("a", list(edge_arrays()), ids=lambda a: f"{a.dtype}{a.shape}")
+def test_array_emission_matches_element_by_element_reference(a):
+    assert dumps_deterministic(a) == reference_dumps(a)
+    assert dumps_deterministic({"a": a, "b": [a]}) == "{\"a\": %s, \"b\": [%s]}" % (
+        (reference_dumps(a),) * 2
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+def test_array_emission_names_the_first_non_finite_value(dtype, bad, where):
+    a = np.arange(12.0, dtype=dtype).reshape(3, 4) - 5.0
+    a[where] = bad
+    # later in row-major order, earlier in the Fortran copy's memory order
+    a[2, 0] = -bad
+    for arr in (a, np.asfortranarray(a)):
+        with pytest.raises(ValueError) as expected:
+            reference_dumps(arr)
+        with pytest.raises(ValueError) as got:
+            dumps_deterministic({"x": arr})
+        assert str(got.value) == str(expected.value)
+
+
 def test_dump_rejects_non_finite():
     with pytest.raises(ValueError):
         dumps_deterministic({"x": float("nan")})
@@ -258,7 +338,9 @@ print(json.dumps(digests))
 """
 
 
-def test_benchmark_size_solutions_match_recorded_digests():
+def run_one_blas_thread(script, *args):
+    """Run ``script`` with the package on its path and one BLAS thread; return
+    the JSON object on its last line of stdout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(
         os.environ,
@@ -268,13 +350,61 @@ def test_benchmark_size_solutions_match_recorded_digests():
         MKL_NUM_THREADS="1",
     )
     res = subprocess.run(
-        [sys.executable, "-c", BENCHMARK_SIZE_DIGESTS],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=env,
     )
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == BENCHMARK_SIZE_SHA256
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_benchmark_size_solutions_match_recorded_digests():
+    assert run_one_blas_thread(BENCHMARK_SIZE_DIGESTS) == BENCHMARK_SIZE_SHA256
+
+
+# SHA-256 of the solution.json that `conebellman solve` writes for each
+# instance of the benchmark's cli-files workload at seed 1, recorded with the
+# element-by-element emitter: array emission must reproduce these bytes.
+CLI_FILES_SOLUTION_SHA256 = {
+    "graph150": "bad5fbff4873b8c1261eb624a69c4f773b45f5955456d276d1851210e2a497f0",
+    "lqr30x15": "3641686ff6d72404c9a4c2bd6a750c5bf921ee1633da1097eb04e69973afced1",
+    "ldp300": "9f770d9e0a3918daf6404e1e960c7b8a9f6d51ed11bcd795bc95e2414ed9c8f6",
+}
+
+CLI_FILES_DIGESTS = """
+import hashlib, json, os, sys
+from conebellman import cli
+from conebellman.generators import random_ldp, random_lqr, random_ssp_graph
+from conebellman.io import dumps_deterministic
+
+g = random_ssp_graph(150, seed=64, stochastic=True)
+lqr = random_lqr(30, 15, seed=65)
+ldp = random_ldp(300, seed=66)
+edges = [
+    {"from": e.source, "to": list(e.targets), "cost": e.cost, "prob": list(e.probs)}
+    for e in g.edges
+]
+problems = {
+    "graph150": {"type": "ssp-graph", "nodes": g.n_nodes, "goal": list(g.goals), "edges": edges, "s": g.s},
+    "lqr30x15": {"type": "lqr", "A": lqr.A, "B": lqr.B, "Q": lqr.Q, "R": lqr.R},
+    "ldp300": {"type": "ldp", "Pbar": ldp.Pbar, "s": ldp.s, "goals": list(ldp.goals)},
+}
+digests = {}
+for name, obj in problems.items():
+    path = os.path.join(sys.argv[1], name + ".json")
+    with open(path, "w") as fh:
+        fh.write(dumps_deterministic(obj))
+    out = os.path.join(sys.argv[1], name)
+    assert cli.main(["solve", path, "--out", out]) == 0
+    with open(os.path.join(out, "solution.json"), "rb") as fh:
+        digests[name] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_cli_files_solutions_match_recorded_digests(tmp_path):
+    assert run_one_blas_thread(CLI_FILES_DIGESTS, str(tmp_path)) == CLI_FILES_SOLUTION_SHA256
 
 
 LDP300_SOLVE = """
