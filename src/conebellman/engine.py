@@ -26,8 +26,6 @@ from .errors import Diverged, InputError, MaxIterExceeded
 
 logger = logging.getLogger("conebellman.engine")
 
-#: consecutive residual-growth iterations tolerated before declaring divergence
-GROWTH_LIMIT = 50
 #: iterate magnitude beyond which the iteration is declared divergent
 DIVERGENCE_CAP = 1e12
 
@@ -41,9 +39,9 @@ class SolveConfig:
 
     Convergence is declared when the sup-norm of successive iterates drops
     below ``tol`` and an extra verification sweep confirms the stationarity
-    residual is below ``10 * tol``.  Divergence is declared when any entry of
-    the iterate exceeds ``DIVERGENCE_CAP`` in magnitude or is NaN, or when the
-    residual grows for ``GROWTH_LIMIT`` consecutive iterations.
+    residual is below ``10 * tol``.  Divergence is declared only when an
+    entry of the iterate exceeds ``DIVERGENCE_CAP`` in magnitude or is NaN;
+    a transient of growing residuals runs on until ``max_iter``.
     """
 
     tol: float = 1e-10
@@ -88,8 +86,6 @@ def fixed_point_solve(step: Step, lam0: np.ndarray, cfg: SolveConfig) -> FixedPo
     trace: list[TraceRecord] = []
     t0 = time.perf_counter_ns()
     lam = lam0
-    prev_residual = None
-    growth_streak = 0
     verify = False
 
     for k in range(cfg.max_iter):
@@ -113,16 +109,6 @@ def fixed_point_solve(step: Step, lam0: np.ndarray, cfg: SolveConfig) -> FixedPo
                 f"iterate magnitude {magnitude:.3e} exceeded cap "
                 f"{DIVERGENCE_CAP:.3e} at iteration {k}"
             )
-        if prev_residual is not None and residual > prev_residual:
-            growth_streak += 1
-            if growth_streak >= GROWTH_LIMIT:
-                raise Diverged(
-                    f"residual grew for {GROWTH_LIMIT} consecutive iterations "
-                    f"(last {residual:.3e})"
-                )
-        else:
-            growth_streak = 0
-        prev_residual = residual
 
         lam = lam_new
         verify = residual < cfg.tol

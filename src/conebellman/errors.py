@@ -24,7 +24,7 @@ class MaxIterExceeded(SolveFailure):
 
 
 class Diverged(SolveFailure):
-    """Iterates blew past the divergence cap or residuals grew persistently."""
+    """An iterate blew past the divergence cap or turned NaN."""
 
 
 class CertificationError(SolveFailure):

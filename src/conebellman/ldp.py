@@ -23,11 +23,11 @@ Every stage runs on the support (see `sparse`).  Each dense matrix received
 (P̄, a directly built P̄_r, the P given to `kl_stage_cost`) is scanned once
 for its support; `reduce` hands the reduced support to ReducedLdp with no
 rescan.  All other work runs on supports in O(nnz) passes (one per level
-of the reachability search, one per matrix-vector product of a Krylov
-step), and dense outputs are scattered from them.  Column sums add each
-column in ascending row order as ``P.sum(axis=0)`` does, and inner
-products are numpy reductions rather than BLAS calls, so results do not
-depend on the BLAS thread count.
+of the reachability search `sparse.reaches`, one per matrix-vector
+product of a Krylov step), and dense outputs are scattered from them.
+Column sums add each column in ascending row order as ``P.sum(axis=0)``
+does, and inner products are numpy reductions rather than BLAS calls, so
+results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .engine import SolveConfig, TraceRecord
 from .errors import CertificationError, InputError, MaxIterExceeded, SolveFailure
-from .sparse import Support, colsums, dense, frozen, scan, tdot
+from .sparse import Support, colsums, dense, frozen, reaches, scan, tdot
 
 _STOCHASTIC_TOL = 1e-12
 _RESTART = 30  # Krylov basis size of one GMRES cycle
@@ -162,23 +162,6 @@ class LdpSolution:
     bellman_residual: float
 
 
-def _reaches(S: Support, sources: np.ndarray) -> np.ndarray:
-    """Mask of states with a support path into the mask ``sources``.
-
-    i -> j iff (j, i) is in S, so each pass marks the column of every entry
-    whose row is marked: one level of a reverse breadth-first search, in
-    three numpy calls over all nnz entries.  The passes stop at the first
-    that marks nothing new, so the work is O(nnz) per level.  A frontier
-    search that reads each entry once takes some fifteen numpy calls per
-    level, which cost small systems more than the rescans do.
-    """
-    reached = sources.copy()
-    count = -1
-    while count != (count := int(np.count_nonzero(reached))):
-        reached[S.cols[reached[S.rows]]] = True
-    return reached
-
-
 def reduce(p: LdpProblem) -> ReducedLdp:
     """Delete goal rows/columns, aggregating per-state goal-transition mass.
 
@@ -209,7 +192,7 @@ def reduce(p: LdpProblem) -> ReducedLdp:
     if free.size:
         raise InputError(f"non-goal state {free[0]} must have strictly positive cost")
 
-    stuck = np.flatnonzero(~_reaches(S, is_goal))
+    stuck = np.flatnonzero(~reaches(rows, cols, is_goal))
     if stuck.size:
         raise InputError(f"states {stuck.tolist()} cannot reach any goal under Pbar")
 
@@ -378,10 +361,10 @@ def solve_desirability(
     """
     S = r._Pbar_r
     to_goal = r.pbar_g > 0.0
-    reach = _reaches(S, to_goal)
+    reach = reaches(S.rows, S.cols, to_goal)
     if not reach.all():
         deficient = (r.s_r > 0.0) | to_goal
-        closed = np.flatnonzero(~_reaches(S, deficient))
+        closed = np.flatnonzero(~reaches(S.rows, S.cols, deficient))
         if closed.size:
             raise SolveFailure(
                 f"rho(G Pbar_r^T) = 1: states {closed.tolist()} never reach the goal"

@@ -50,8 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import SolveConfig, TraceRecord, fixed_point_solve
-from .errors import CertificationError, InputError
-from .sparse import Support, coalesced, colsums, dense, frozen, row_entries, row_pointer, scan, tdot
+from .errors import CertificationError, InputError, SolveFailure
+from .sparse import Support, coalesced, colsums, dense, frozen, reaches, row_entries
+from .sparse import row_pointer, scan, tdot
 
 _LAMBDA_TOL = 1e-10  # slack when checking lam >= 0 (matches cone membership)
 
@@ -472,9 +473,10 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     included — becomes a gain row redirecting mass from that baseline, with
     input cost equal to its cost premium over the baseline.  The compiled
     Bellman sweep therefore performs classical value iteration
-    ``lam_i <- s_i + min_a (cost_a + p_a^T lam)``.  A node with no outgoing
-    edges keeps its mass (self-loop baseline), so an instance whose goal is
-    unreachable diverges at solve time instead of failing intake.
+    ``lam_i <- s_i + min_a (cost_a + p_a^T lam)``.  It has a solution iff
+    every non-goal node has a path to a goal (Bertsekas & Tsitsiklis, Math.
+    Oper. Res. 16, 1991), so a reverse search over the edges raises
+    SolveFailure naming the nodes that have none, before any sweep.
 
     The supports are built from intake's flat edge arrays with no dense
     matrix: column j of B takes edge j's own probabilities to non-goal
@@ -490,9 +492,13 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     n = nongoal.size
     if n == 0:
         raise InputError("graph has no non-goal nodes; nothing to solve")
-    state = np.cumsum(nongoal_mask) - 1  # state of each non-goal node
     src, cost, tgt, prob = g._src, g._cost, g._tgt, g._prob
     k = src.size
+    entry_edge = np.repeat(np.arange(k), g._ptr[1:] - g._ptr[:-1])
+    stranded = np.flatnonzero(~reaches(tgt, src[entry_edge], ~nongoal_mask))
+    if stranded.size:
+        raise SolveFailure(f"nodes {stranded.tolist()} cannot reach any goal")
+    state = np.cumsum(nongoal_mask) - 1  # state of each non-goal node
 
     # gain rows: edges grouped by source state, in index order within a block
     rows = np.argsort(src, kind="stable")
@@ -500,11 +506,9 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     row_of_edge[rows] = np.arange(k)
     sizes = np.bincount(state[src], minlength=n)
     offsets = np.cumsum(sizes) - sizes
-    has = np.flatnonzero(sizes)
     # lexsort is stable: within a node, the cheapest edge with the lowest index
-    base = np.lexsort((cost, src))[offsets[has]]
+    base = np.lexsort((cost, src))[offsets]
 
-    entry_edge = np.repeat(np.arange(k), g._ptr[1:] - g._ptr[:-1])
     kept = nongoal_mask[tgt]  # mass to a goal leaves the system
     is_base = np.zeros(k, dtype=bool)
     is_base[base] = True
@@ -512,16 +516,8 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
     base_row = state[tgt[on_base]]
     base_block = state[src[entry_edge[on_base]]]
 
-    # stuck mass keeps a unit self-loop: divergence will report unreachability
-    stuck = np.flatnonzero(sizes == 0)
-    A = coalesced(
-        (n, n),
-        np.concatenate((base_row, stuck)),
-        np.concatenate((base_block, stuck)),
-        np.concatenate((prob[on_base], np.ones(stuck.size))),
-    )
-    s = g.s[nongoal]
-    s[has] += cost[base]
+    A = coalesced((n, n), base_row, base_block, prob[on_base])
+    s = g.s[nongoal] + cost[base]
 
     # each baseline entry is subtracted from every row of its block
     reps = sizes[base_block]
@@ -532,7 +528,7 @@ def compile_graph(g: GraphSsp) -> CompiledGraph:
         np.concatenate((row_of_edge[entry_edge[kept]], first + np.arange(reps.sum()))),
         np.concatenate((prob[kept], -np.repeat(prob[on_base], reps))),
     )
-    r = cost[rows] - np.repeat(cost[base], sizes[has])
+    r = cost[rows] - np.repeat(cost[base], sizes)
     diagonal = np.arange(n)
     E = Support((n, n), diagonal, diagonal, np.ones(n))
     problem = SspProblem(A=A, B=B, s=s, r=r, block_sizes=tuple(sizes.tolist()), E=E)
@@ -553,14 +549,9 @@ def closed_loop_successors(g: GraphSsp, compiled: CompiledGraph, K: np.ndarray) 
     chosen = {}
     for i, x in enumerate(compiled.node_of_state):
         sl = p.block_slice(i)
-        rows = K[sl, i] if sl.stop > sl.start else np.zeros(0)
-        own = [compiled.edge_of_row[j] for j in range(sl.start, sl.stop)]
-        if rows.size and rows.max() > 0:
+        rows, own = K[sl, i], compiled.edge_of_row[sl]
+        if rows.max() > 0:
             chosen[x] = own[int(np.argmax(rows))]
-        elif own:
-            # baseline action: the cheapest edge at this node
-            base = min(own, key=lambda idx: (g.edges[idx].cost, idx))
-            chosen[x] = base
-        else:
-            chosen[x] = None
+        else:  # baseline action: the cheapest edge at this node
+            chosen[x] = min(own, key=lambda idx: (g.edges[idx].cost, idx))
     return chosen

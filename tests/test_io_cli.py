@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conebellman import InputError, cli
+from conebellman import InputError, cli, ssp
 from conebellman.generators import random_lqr
 from conebellman.io import (
     dumps_deterministic,
@@ -456,6 +456,24 @@ def test_solve_unstabilizable_exits_2(tmp_path):
         {"type": "lqr", "A": [[2.0]], "B": [[0.0]], "Q": [[1.0]], "R": [[1.0]]},
     )
     assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 2
+
+
+def test_solve_stranded_graph_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # criterion 7's graph at the default budget: nodes 0 and 1 only visit
+    # each other, and compile_graph proves it before the first sweep
+    def no_sweeps(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(ssp, "fixed_point_solve", no_sweeps)
+    edges = [{"from": 0, "to": 1, "cost": 1.0}, {"from": 1, "to": 0, "cost": 1.0}]
+    prob = write_json(
+        tmp_path,
+        "stranded.json",
+        {"type": "ssp-graph", "nodes": 3, "goal": 2, "edges": edges, "s": [0.5, 0.5, 0.0]},
+    )
+    assert cli.main(["solve", prob, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: nodes [0, 1] cannot reach any goal\n"
+    assert not (tmp_path / "solution.json").exists()
 
 
 def test_solve_exits_2_when_riccati_step_loses_definiteness(tmp_path, capsys):

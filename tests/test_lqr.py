@@ -225,9 +225,9 @@ def test_scalar_fixed_point_is_the_golden_ratio():
 
 @pytest.mark.parametrize("a", [1.001, 1.01, 1.1])
 def test_weakly_actuated_unstable_scalar_solves(a):
-    # a weak input makes the sweeps from Q grow for more than 50 iterations
-    # before they settle, which the engine reads as divergence; the doubling
-    # seed skips that transient.  lam is the positive root of the scalar DARE
+    # a weak input makes the sweeps from Q grow for 55 to 623 sweeps and
+    # settle only after 234 to 9,507; the doubling seed skips that
+    # transient.  lam is the positive root of the scalar DARE
     # b^2 x^2 + (r - a^2 r - q b^2) x - q r = 0.
     b = 1e-3
     sol = solve_lqr(LqrProblem(A=[[a]], B=[[b]], Q=[[1.0]], R=[[1.0]]))
@@ -260,6 +260,20 @@ def test_singular_input_cost_takes_the_plain_sweep():
     ]
     assert [x.hex() for x in sol.lam.ravel()] == lam
     assert [x.hex() for x in sol.K.ravel()] == K
+
+
+def test_singular_input_cost_solves_through_a_growing_transient():
+    # no doubling seed, and the sweeps from Q see their residual grow for
+    # 623 sweeps before it falls; they converge after 9,507
+    p = LqrProblem(
+        A=np.diag([1.001, 0.5]), B=[[1e-3, 0.0], [0.0, 1.0]], Q=np.eye(2), R=np.diag([1.0, 0.0])
+    )
+    assert lqr._doubling_seed(p) is None
+    sol = solve_lqr(p)
+    assert sol.dare_residual < 1e-9
+    assert sol.rho_closed_loop < 1.0
+    oracle = naive_dare(p, tol=1e-13)
+    assert np.abs(sol.lam - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize(

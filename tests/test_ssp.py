@@ -1,5 +1,6 @@
 """Stochastic shortest path: Bellman update, gain feasibility, graph frontend."""
 
+import collections
 import functools
 import json
 import math
@@ -18,8 +19,8 @@ from conebellman import (
     GraphEdge,
     GraphSsp,
     InputError,
-    MaxIterExceeded,
     SolveConfig,
+    SolveFailure,
     SspProblem,
     bellman_update,
     closed_loop_successors,
@@ -509,20 +510,51 @@ def test_stochastic_graph_matches_value_iteration():
     np.testing.assert_allclose(sol.lam, vi, atol=1e-10)
 
 
-def test_unreachable_goal_never_converges():
-    # node 1 only loops back to node 0, so the goal is unreachable
-    g = GraphSsp(
-        n_nodes=3,
-        goals=(2,),
-        edges=(
-            GraphEdge(0, (1,), 1.0, (1.0,)),
-            GraphEdge(1, (0,), 1.0, (1.0,)),
-        ),
-        s=[0.5, 0.5, 0.0],
+def _bfs_stranded(g):
+    """Nodes with no path to a goal, by breadth-first search back from the goals."""
+    into = {x: [] for x in range(g.n_nodes)}
+    for e in g.edges:
+        for t in e.targets:
+            into[t].append(e.source)
+    seen = set(g.goals)
+    queue = collections.deque(g.goals)
+    while queue:
+        for x in into[queue.popleft()]:
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+    return [x for x in range(g.n_nodes) if x not in seen]
+
+
+def _stranded_graph(kind):
+    edge = GraphEdge
+    if kind == "no-edges":  # node 1 has no action
+        return 3, (2,), (edge(0, (2,), 1.0, (1.0,)),)
+    if kind == "two-cycle":  # criterion 7's graph: 0 and 1 only visit each other
+        return 3, (2,), (edge(0, (1,), 1.0, (1.0,)), edge(1, (0,), 1.0, (1.0,)))
+    if kind == "through-stranded":  # node 0's only path runs through node 1
+        return 4, (3,), (edge(0, (1,), 1.0, (1.0,)), edge(2, (3,), 1.0, (1.0,)))
+    # two goals: node 0 reaches goal 4 half the time, nodes 1 and 2 neither
+    return 5, (3, 4), (
+        edge(0, (1, 4), 1.0, (0.5, 0.5)),
+        edge(1, (2,), 1.0, (1.0,)),
+        edge(2, (1,), 0.5, (1.0,)),
+        edge(2, (2, 1), 0.5, (0.5, 0.5)),
     )
-    p = compile_graph(g).problem
-    with pytest.raises(MaxIterExceeded):
-        solve_ssp(p, SolveConfig(max_iter=2_000))
+
+
+@pytest.mark.parametrize("kind", ["no-edges", "two-cycle", "through-stranded", "two-goals"])
+def test_stranded_nodes_fail_compile_by_proof(kind):
+    n, goals, edges = _stranded_graph(kind)
+    g = GraphSsp(
+        n_nodes=n, goals=goals, edges=edges, s=[0.0 if x in goals else 0.5 for x in range(n)]
+    )
+    stranded = _bfs_stranded(g)
+    assert stranded
+    with pytest.raises(SolveFailure) as info:
+        compile_graph(g)
+    assert type(info.value) is SolveFailure
+    assert str(info.value) == f"nodes {stranded} cannot reach any goal"
 
 
 @settings(max_examples=25, deadline=None)
@@ -599,16 +631,23 @@ def _reference_compile(n_nodes, goals, edges, s_node):
                 col[state_of[t]] += q
         return col
 
+    reached = set(goals)
+    grew = True
+    while grew:
+        grew = False
+        for e in edges:
+            if e.source not in reached and any(t in reached for t in e.targets):
+                reached.add(e.source)
+                grew = True
+    stranded = [x for x in range(n_nodes) if x not in reached]
+    if stranded:
+        raise SolveFailure(f"nodes {stranded} cannot reach any goal")
+
     A = np.zeros((n, n))
     s = np.zeros(n)
     blocks, b_cols, r, edge_of_row = [], [], [], []
     for i, x in enumerate(nongoal):
         own = edges_at[x]
-        if not own:
-            A[i, i] = 1.0
-            s[i] = s_node[x]
-            blocks.append(0)
-            continue
         base_idx = min(own, key=lambda idx: (edges[idx].cost, idx))
         base = edges[base_idx]
         A[:, i] = restricted(base)
@@ -861,9 +900,17 @@ def _dense_compile_graph(g):
     n = nongoal.size
     if n == 0:
         raise InputError("graph has no non-goal nodes; nothing to solve")
-    state = np.cumsum(nongoal_mask) - 1
     src, cost, tgt, prob = g._src, g._cost, g._tgt, g._prob
     k = src.size
+    entry_edge = np.repeat(np.arange(k), np.diff(g._ptr))
+    step = np.zeros((g.n_nodes, g.n_nodes), dtype=bool)
+    step[src[entry_edge], tgt] = True  # step[x, y]: some edge of x lands on y
+    reached = ~nongoal_mask
+    while not np.array_equal(reached, more := reached | step[:, reached].any(axis=1)):
+        reached = more
+    if not reached.all():
+        raise SolveFailure(f"nodes {np.flatnonzero(~reached).tolist()} cannot reach any goal")
+    state = np.cumsum(nongoal_mask) - 1
     rows = np.argsort(src, kind="stable")
     row_of_edge = np.empty(k, dtype=np.int64)
     row_of_edge[rows] = np.arange(k)
@@ -871,7 +918,6 @@ def _dense_compile_graph(g):
     offsets = np.cumsum(sizes) - sizes
     has = np.flatnonzero(sizes)
     base = np.lexsort((cost, src))[offsets[has]]
-    entry_edge = np.repeat(np.arange(k), np.diff(g._ptr))
     kept = nongoal_mask[tgt]
     is_base = np.zeros(k, dtype=bool)
     is_base[base] = True
@@ -880,8 +926,6 @@ def _dense_compile_graph(g):
     base_block = state[src[entry_edge[on_base]]]
     A = np.zeros((n, n))
     A[base_row, base_block] = prob[on_base]
-    stuck = np.flatnonzero(sizes == 0)
-    A[stuck, stuck] = 1.0
     s = g.s[nongoal]
     s[has] += cost[base]
     B = np.zeros((n, k))
@@ -991,8 +1035,8 @@ def solvable_graphs(draw):
     """Graphs whose non-goal nodes all have a forward edge, with cost ties.
 
     Backward edges make cycles; an edge repeated at another cost cancels
-    against its node's baseline (q - q = 0); one graph in ten has a stuck
-    node, which never converges.
+    against its node's baseline (q - q = 0); one graph in ten has a stranded
+    node 0 with no edges, which compile_graph rejects before any sweep.
     """
     n = draw(st.integers(2, 8))
     goal = n - 1
