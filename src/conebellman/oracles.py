@@ -2,12 +2,13 @@
 
 Every function here recomputes a quantity the solvers produce, using
 deliberately different numerics and sharing no code path with the solver it
-checks: dense synchronous value sweeps with explicit vertex enumeration
-instead of the block engine, classical Dijkstra labels instead of the
-compiled fixed point, Gauss-Jordan inversion instead of Cholesky solves,
-log-sum-exp iteration instead of the Newton-Krylov Bellman solve, and Monte
-Carlo rollouts instead of anything analytic.  None of this is built for
-speed.
+checks: synchronous value sweeps with explicit vertex enumeration instead of
+the block engine, classical Dijkstra labels instead of the compiled fixed
+point, Gauss-Jordan inversion instead of Cholesky solves, log-sum-exp
+iteration instead of the Newton-Krylov Bellman solve, and Monte Carlo
+rollouts instead of anything analytic.  The LDP oracles read the nonzeros
+of the dense matrices they are given into their own column arrays, so each
+sweep and each rollout step costs O(nnz); the others stay dense and plain.
 """
 
 from __future__ import annotations
@@ -127,28 +128,61 @@ def naive_dare(
     raise MaxIterExceeded(f"no convergence to {tol} within {max_iter} sweeps")
 
 
+def _columns(M: np.ndarray):
+    """The nonzeros of a dense matrix in column order, rows ascending in each.
+
+    One scan of M in its row-major order, then a stable sort of the nonzeros
+    by column.  Returns their rows, columns and values, and each column's
+    start in those arrays and its count of nonzeros.
+    """
+    rows, cols = np.nonzero(M)
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    count = np.bincount(cols, minlength=M.shape[1])
+    return rows, cols, M[rows, cols], np.cumsum(count) - count, count
+
+
+def _running_sums(vals: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Running sum down each column segment, adding its entries in row order.
+
+    So the sums keep the bits of np.cumsum(M, axis=0) at M's nonzeros.  Step
+    k extends every column with more than k entries by one: O(nnz) work in
+    max(count) vectorized steps.
+    """
+    heads = start[np.argsort(-count, kind="stable")]  # longest columns first
+    longer = count.size - np.cumsum(np.bincount(count))  # columns with > k entries
+    cum = vals.copy()
+    for k in range(1, longer.size):
+        at = heads[: longer[k]] + k
+        cum[at] += cum[at - 1]
+    return cum
+
+
 def ldp_logsumexp_vi(r: ReducedLdp, iters: int, tol: float = 0.0) -> np.ndarray:
     """Iterate lam <- s - log(Pbar_r^T exp(-lam) + pbar_g) from lam = 0.
 
     Evaluated in log space with a columnwise max shift, so large values never
-    underflow to a hard zero.  Returns the iterate after convergence (when
-    ``tol`` is positive) or after ``iters`` sweeps.
+    underflow to a hard zero.  Each sweep works over the nonzeros of Pbar_r
+    in column order, with one reduceat per column segment: O(nnz) time and
+    memory.  Returns the iterate after convergence (when ``tol`` is
+    positive) or after ``iters`` sweeps.
     """
     lam = np.zeros(r.n_r)
     if r.n_r == 0:
         return lam
-    support = r.Pbar_r > 0.0
+    rows, cols, vals, start, count = _columns(r.Pbar_r)
+    live = count > 0
+    heads = start[live]
     has_goal = r.pbar_g > 0.0
+    floor = np.where(has_goal, 0.0, -np.inf)
+    live_floor = floor[live]
     for _ in range(iters):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            arg = np.where(support, -lam[:, None], -np.inf)
-            shift = np.maximum(
-                arg.max(axis=0), np.where(has_goal, 0.0, -np.inf)
-            )
-            shifted = np.where(support, np.exp(arg - shift[None, :]), 0.0)
-            total = (r.Pbar_r * shifted).sum(axis=0) + np.where(
-                has_goal, r.pbar_g * np.exp(-shift), 0.0
-            )
+            arg = -lam[rows]
+            shift = floor.copy()
+            shift[live] = np.maximum(np.maximum.reduceat(arg, heads), live_floor)
+            total = np.where(has_goal, r.pbar_g * np.exp(-shift), 0.0)
+            total[live] += np.add.reduceat(vals * np.exp(arg - shift[cols]), heads)
             nxt = r.s_r - (shift + np.log(total))
         if tol > 0.0:
             gap = float(np.max(np.abs(nxt - lam)))
@@ -164,20 +198,30 @@ _MASS_TOL = 1e-12  # rounding slack on a column's goal mass
 def _stage_costs(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
     """h_i = s_i + KL(column i of P, goal mass included || column i of P̄).
 
-    Dense all-pairs arithmetic on P and Pbar_r.  P must be a feasible
-    controlled transition matrix: finite, nonnegative, inside the support of
-    Pbar_r and substochastic, with goal mass only where pbar_g > 0.
+    Summed in row order over the nonzeros of each column of P.  P must be a
+    feasible controlled transition matrix: finite, nonnegative, inside the
+    support of Pbar_r and substochastic, with goal mass only where
+    pbar_g > 0.
     """
     n = r.n_r
     if P.shape != (n, n):
         raise InputError(f"Pstar must be {n} x {n}, got {P.shape}")
-    if not np.all(np.isfinite(P)):
+    rows, cols, vals, start, count = _columns(P)
+    if not np.all(np.isfinite(vals)):
         raise InputError("Pstar entries must be finite")
-    if np.any(P < 0.0):
+    if np.any(vals < 0.0):
         raise InputError("Pstar entries must be nonnegative")
-    if np.any((P > 0.0) & (r.Pbar_r == 0.0)):
+    passive = r.Pbar_r[rows, cols]
+    if np.any(passive == 0.0):
         raise InputError("Pstar places mass where Pbar_r has none")
-    goal = 1.0 - P.sum(axis=0)
+    live = count > 0
+    last = start[live] + count[live] - 1
+    mass, kl = np.zeros(n), np.zeros(n)
+    # running sums, not np.add.reduceat, whose order of addition differs
+    # from P.sum(axis=0) and changes the bits of h
+    mass[live] =_running_sums(vals, start, count)[last]
+    kl[live] = _running_sums(vals * np.log(vals / passive), start, count)[last]
+    goal = 1.0 - mass
     if np.any(goal < -_MASS_TOL):
         raise InputError("columns of Pstar must be substochastic")
     has_goal = r.pbar_g > 0.0
@@ -185,7 +229,6 @@ def _stage_costs(r: ReducedLdp, P: np.ndarray) -> np.ndarray:
         raise InputError("Pstar sends goal mass from a state Pbar_r gives no goal transition")
     goal = np.where(has_goal, np.maximum(goal, 0.0), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kl = np.where(P > 0.0, P * np.log(P / r.Pbar_r), 0.0).sum(axis=0)
         kl_goal = np.where(goal > 0.0, goal * np.log(goal / r.pbar_g), 0.0)
     return r.s_r + kl + kl_goal
 
@@ -211,8 +254,11 @@ def ldp_rollout(
 
     Each visit to state i costs h_i (the same per-state cost the Bellman
     equation charges: s_i plus the KL divergence of the controlled column,
-    goal mass included, from the passive one), computed here from the dense
-    matrices with no call into the solver.
+    goal mass included, from the passive one), computed here with no call
+    into the solver.  The search for each next state runs inside the
+    cumulative segment of the current state's column, so a step costs
+    O(trials · log w), w the most nonzeros in a column of Pstar, and memory
+    beyond the inputs is O(trials + nnz).
     Trajectories absorb into the goal with the column's missing mass; those
     still alive after ``horizon`` steps count toward truncated_fraction.
     All trials advance in lockstep from one numpy default PCG64 generator
@@ -233,8 +279,9 @@ def ldp_rollout(
         )
     Pstar = np.asarray(Pstar, dtype=float)
     h = _stage_costs(r, Pstar)
-    n = r.n_r
-    cumulative = np.cumsum(Pstar, axis=0)
+    rows, _, vals, start, count = _columns(Pstar)
+    cumulative = _running_sums(vals, start, count)
+    width = int(count.max())
 
     rng = np.random.default_rng(seed)
     costs = np.zeros(trials)
@@ -243,16 +290,18 @@ def ldp_rollout(
     for _ in range(horizon):
         costs[alive] += h[states]
         u = rng.random(alive.size)
-        # per trial, the number of entries of its state's cumulative column
+        # per trial, the number of entries of its state's cumulative segment
         # at or below u (searchsorted side="right"), by a branchless binary
-        # search over the rows: O(trials) work per probe, no trials x n array
-        nxt = np.zeros(alive.size, dtype=np.intp)
-        for step in 1 << np.arange(n.bit_length() - 1, -1, -1):
-            probe = nxt + step
-            below = (probe <= n) & (cumulative[np.minimum(probe, n) - 1, states] <= u)
-            nxt = np.where(below, probe, nxt)
-        kept = nxt < n  # the rest absorbed into the goal
-        alive, states = alive[kept], nxt[kept]
+        # search inside the segment: O(trials) work per probe.  A probe past
+        # an empty segment reads a neighbour's entry, and is masked off.
+        base, size = start[states], count[states]
+        k = np.zeros(alive.size, dtype=np.intp)
+        for step in 1 << np.arange(width.bit_length() - 1, -1, -1):
+            probe = k + step
+            below = (probe <= size) & (cumulative[base + np.minimum(probe, size) - 1] <= u)
+            k = np.where(below, probe, k)
+        kept = k < size  # the rest absorbed into the goal
+        alive, states = alive[kept], rows[base[kept] + k[kept]]
         if not alive.size:
             break
     truncated = alive.size

@@ -3,8 +3,10 @@
 import ast
 import importlib
 import inspect
+import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +202,75 @@ def test_logsumexp_vi_immediate_absorption():
     assert lam[0] == pytest.approx(0.7, abs=1e-15)
 
 
+def dense_logsumexp_vi(r, iters, tol=0.0):
+    # the oracle as it was before it moved to column segments: the same
+    # recursion over all n x n entries, masked to the support
+    lam = np.zeros(r.n_r)
+    if r.n_r == 0:
+        return lam
+    support = r.Pbar_r > 0.0
+    has_goal = r.pbar_g > 0.0
+    for _ in range(iters):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            arg = np.where(support, -lam[:, None], -np.inf)
+            shift = np.maximum(
+                arg.max(axis=0), np.where(has_goal, 0.0, -np.inf)
+            )
+            shifted = np.where(support, np.exp(arg - shift[None, :]), 0.0)
+            total = (r.Pbar_r * shifted).sum(axis=0) + np.where(
+                has_goal, r.pbar_g * np.exp(-shift), 0.0
+            )
+            nxt = r.s_r - (shift + np.log(total))
+        if tol > 0.0:
+            gap = float(np.max(np.abs(nxt - lam)))
+            if math.isfinite(gap) and gap < tol:
+                return nxt
+        lam = nxt
+    return lam
+
+
+def costly_reduced(scale):
+    p = random_ldp(30, seed=1)
+    return reduce(LdpProblem(Pbar=p.Pbar, s=p.s * scale, goals=p.goals))
+
+
+@pytest.mark.parametrize(
+    "r",
+    [reduce(random_ldp(n, seed=seed)) for n in (2, 3, 7, 20, 60) for seed in (1, 4, 9)]
+    + [costly_reduced(1e3), costly_reduced(1e5)]
+    + [
+        # column 0 has no goal mass, column 2 sends all of its mass to the goal
+        ReducedLdp(
+            Pbar_r=[[0.0, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.25, 0.0]],
+            pbar_g=[0.0, 0.25, 1.0],
+            s_r=[1.0, 0.5, 2.0],
+        ),
+        ReducedLdp(Pbar_r=[[0.0]], pbar_g=[1.0], s_r=[0.7]),
+    ],
+    ids=[f"random{n}-seed{seed}" for n in (2, 3, 7, 20, 60) for seed in (1, 4, 9)]
+    + ["costly-1e3", "costly-1e5", "goal-free-and-goal-only-columns", "immediate-absorption"],
+)
+def test_logsumexp_vi_matches_the_dense_reference(r):
+    # the same number of sweeps, so only the order of each column's sum differs
+    np.testing.assert_allclose(
+        ldp_logsumexp_vi(r, iters=400), dense_logsumexp_vi(r, iters=400),
+        rtol=1e-13, atol=0.0,
+    )
+
+
+def test_logsumexp_vi_memory_stays_below_one_dense_matrix():
+    # the sweeps hold O(nnz) arrays, not n x n temporaries
+    n = 2000
+    r = reduce(random_ldp(n, seed=7))
+    tracemalloc.start()
+    try:
+        ldp_logsumexp_vi(r, iters=100_000, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo rollout
 
@@ -261,6 +332,68 @@ def test_rollout_matches_a_per_trial_reference_loop():
     assert stats.std_error == float(costs.std(ddof=1) / np.sqrt(trials))
 
 
+def dense_stage_costs(r, P):
+    # the stage costs as they were before they moved to column segments:
+    # all-pairs arithmetic, each column summed in row order
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(P > 0.0, P * np.log(P / r.Pbar_r), 0.0).sum(axis=0)
+        goal = np.where(r.pbar_g > 0.0, np.maximum(1.0 - P.sum(axis=0), 0.0), 0.0)
+        kl_goal = np.where(goal > 0.0, goal * np.log(goal / r.pbar_g), 0.0)
+    return r.s_r + kl + kl_goal
+
+
+def dense_rollout(r, Pstar, start_state, horizon, trials, seed):
+    # the rollout as it was before it moved to column segments: a binary
+    # search over all n rows of np.cumsum(Pstar, axis=0)
+    n = r.n_r
+    h = dense_stage_costs(r, Pstar)
+    cumulative = np.cumsum(Pstar, axis=0)
+    rng = np.random.default_rng(seed)
+    costs = np.zeros(trials)
+    alive = np.arange(trials)
+    states = np.full(trials, start_state)
+    for _ in range(horizon):
+        costs[alive] += h[states]
+        u = rng.random(alive.size)
+        nxt = np.zeros(alive.size, dtype=np.intp)
+        for step in 1 << np.arange(n.bit_length() - 1, -1, -1):
+            probe = nxt + step
+            below = (probe <= n) & (cumulative[np.minimum(probe, n) - 1, states] <= u)
+            nxt = np.where(below, probe, nxt)
+        kept = nxt < n
+        alive, states = alive[kept], nxt[kept]
+        if not alive.size:
+            break
+    return oracles.RolloutStats(
+        trials=trials,
+        mean_cost=float(costs.mean()),
+        std_error=float(costs.std(ddof=1) / np.sqrt(trials)),
+        horizon=horizon,
+        truncated_fraction=alive.size / trials,
+    )
+
+
+@pytest.mark.parametrize("fan_out", [3, 40])
+def test_stage_costs_match_the_dense_reference_bit_for_bit(fan_out):
+    for seed in range(4):
+        p = random_ldp(60, seed=seed, fan_out=fan_out)
+        r, sol = reduce(p), solve_ldp(p)
+        assert np.array_equal(
+            oracles._stage_costs(r, sol.Pstar), dense_stage_costs(r, sol.Pstar)
+        )
+
+
+@pytest.mark.parametrize("fan_out", [3, 40])
+@pytest.mark.parametrize("horizon", [4, 1000])
+def test_rollout_matches_the_dense_reference(horizon, fan_out):
+    # the same stage costs and the same draws to the bit, with and without
+    # trajectories cut at the horizon
+    p = random_ldp(60, seed=2, fan_out=fan_out)
+    r, sol = reduce(p), solve_ldp(p)
+    args = (r, sol.Pstar, 5, horizon, 2000, 13)
+    assert ldp_rollout(*args) == dense_rollout(*args)
+
+
 def test_rollout_immediate_absorption_hits_stage_cost():
     r = ReducedLdp(Pbar_r=[[0.0]], pbar_g=[1.0], s_r=[0.7])
     stats = ldp_rollout(r, np.array([[0.0]]), 0, horizon=10, trials=50, seed=1)
@@ -297,18 +430,20 @@ def test_rollout_argument_validation():
 
 def test_rollout_prices_its_steps_without_the_solver(monkeypatch):
     # with the solver's stage cost and every support function broken, in
-    # every module that holds them, the rollout still runs and draws the
-    # same trajectories at the same costs
+    # every module that holds them, both LDP oracles still run: the rollout
+    # draws the same trajectories at the same costs, and value iteration
+    # returns the same array
     p = random_ldp(12, seed=3)
     r, sol = reduce(p), solve_ldp(p)
     expected = ldp_rollout(r, sol.Pstar, 0, horizon=1000, trials=200, seed=5)
+    expected_vi = ldp_logsumexp_vi(r, iters=100_000, tol=1e-12)
     targets = [ldp.kl_stage_cost] + [
         f for f in vars(sparse).values()
         if inspect.isfunction(f) and f.__module__ == sparse.__name__
     ]
 
     def broken(*args, **kwargs):
-        raise AssertionError("the rollout oracle ran solver code")
+        raise AssertionError("an LDP oracle ran solver code")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "conebellman":
@@ -316,6 +451,7 @@ def test_rollout_prices_its_steps_without_the_solver(monkeypatch):
                 if any(value is f for f in targets):
                     monkeypatch.setattr(module, attr, broken)
     assert ldp_rollout(r, sol.Pstar, 0, horizon=1000, trials=200, seed=5) == expected
+    assert np.array_equal(ldp_logsumexp_vi(r, iters=100_000, tol=1e-12), expected_vi)
 
 
 @pytest.mark.parametrize(

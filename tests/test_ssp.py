@@ -693,24 +693,34 @@ def _closing_simplex(weights):
 
 @st.composite
 def raw_graphs(draw):
-    """Mostly valid edge lists with one kind of defect mixed in at a time."""
+    """Mostly valid edge lists with one kind of defect mixed in at a time.
+
+    Half the graphs draw no edge defects.  In nine graphs in ten, each
+    non-goal node's first edge leads to a goal or to a node that already has
+    one, so unless a defect is drawn the graph reaches the compiler; in the
+    tenth, nodes can be stranded.
+    """
     n = draw(st.integers(1, 7))
     goals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 3)))
     goals = draw(st.sampled_from([goals] * 30 + [[], [n], [-1]]))
     nongoal = [x for x in range(n) if x not in goals] or [0]
-    edges = []
-    for _ in range(draw(st.integers(0, 9))):
-        defect = draw(st.sampled_from([None] * 12 + [
-            "source", "goal_source", "no_targets", "length", "target",
-            "duplicate", "zero_prob", "negative_prob", "sum_off", "cost",
-        ]))
-        source = draw(st.sampled_from(nongoal))
+    defects = [None] if draw(st.booleans()) else [None] * 12 + [
+        "source", "goal_source", "no_targets", "length", "target",
+        "duplicate", "zero_prob", "negative_prob", "sum_off", "cost",
+    ]
+
+    def edge(source, bound=()):
+        defect = draw(st.sampled_from(defects))
         if defect == "source":
             source = draw(st.sampled_from([-1, n, n + 3]))
         elif defect == "goal_source":
             source = draw(st.sampled_from(goals or [0]))
         k = draw(st.integers(1, min(3, n)))
         targets = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        if bound:
+            targets[0] = draw(st.sampled_from(bound))
+            targets = list(dict.fromkeys(targets))
+            k = len(targets)
         probs = _closing_simplex(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
         cost = draw(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0, 1.5, 3.0]))
         if defect == "no_targets":
@@ -730,7 +740,16 @@ def raw_graphs(draw):
             probs = probs[:-1] + (probs[-1] + draw(st.sampled_from([1e-11, -1e-11, 5e-13])),)
         elif defect == "cost":
             cost = draw(st.sampled_from([-1.0, -1e-300]))
-        edges.append(GraphEdge(source, tuple(targets), cost, probs))
+        return GraphEdge(source, tuple(targets), cost, probs)
+
+    edges = []
+    bound = [g for g in goals if 0 <= g < n]
+    if bound and draw(st.sampled_from([True] * 9 + [False])):
+        for x in draw(st.permutations([x for x in range(n) if x not in goals])):
+            edges.append(edge(x, bound))
+            bound.append(x)
+    for _ in range(draw(st.integers(0, 9))):
+        edges.append(edge(draw(st.sampled_from(nongoal))))
     s = [0.0 if x in goals else draw(st.sampled_from([0.05, 0.1, 0.25])) for x in range(n)]
     s_defect = draw(st.sampled_from([None] * 12 + ["negative", "zero", "length"]))
     if s_defect == "negative":
